@@ -103,8 +103,6 @@ std::vector<std::pair<std::string, std::uint64_t>> stats_kv(
       {"finalize_simd", s.finalize_simd},
       {"arena_reuses", s.arena_reuses},
       {"arena_fresh", s.arena_fresh},
-      {"tier_compactions", s.tier_compactions},
-      {"tier_cold_hits", s.tier_cold_hits},
       {"bulk_runs", s.bulk_runs},
       {"bulk_run_intervals", s.bulk_run_intervals},
       {"batch_drains", s.batch_drains},
@@ -261,14 +259,18 @@ Args parse_args(int argc, char** argv) {
 }
 
 void print_environment_note(const char* figure) {
+  const unsigned hw = std::thread::hardware_concurrency();
   std::printf("# %s\n", figure);
   std::printf(
       "# Host: %u hardware thread(s). The paper used 2x20-core Xeon Gold "
-      "6148;\n"
-      "# on this machine extra workers timeslice one core, so parallel\n"
-      "# speedups are bounded by 1 and the meaningful comparisons are the\n"
-      "# single-core work/overhead ratios (see DESIGN.md, substitutions).\n",
-      std::thread::hardware_concurrency());
+      "6148.\n",
+      hw);
+  if (hw == 1) {
+    std::printf(
+        "# Extra workers timeslice one core here, so parallel speedups are\n"
+        "# bounded by 1 and the meaningful comparisons are the single-core\n"
+        "# work/overhead ratios (see DESIGN.md, substitutions).\n");
+  }
 }
 
 }  // namespace pint::bench

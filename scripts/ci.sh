@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI driver: tier-1 suite plus the sanitizer lanes.
 #
-#   scripts/ci.sh            # all lanes (tier1 ... perf, bulkapply)
+#   scripts/ci.sh            # all lanes, in this order: tier1 tsan asan
+#                            # faults telemetry perf bulkapply locks simd
+#                            # perfgate
 #   scripts/ci.sh tier1      # plain Release build + full ctest
 #   scripts/ci.sh tsan       # -DPINT_SAN=thread build + ctest -L tsan
 #   scripts/ci.sh asan       # -DPINT_SAN=address build + ctest -L asan
@@ -14,31 +16,25 @@
 #                            # fast-path bar or with a dead memo cache),
 #                            # emits BENCH_access.json; micro_treap
 #                            # --bulk-json (fails below the 2x bulk-run
-#                            # bar), emits BENCH_treap.json; micro_reach
-#                            # (fails below the 2x DePa storm-qps geomean
-#                            # bar), emits BENCH_reach.json; plus a tiny
+#                            # bar), emits BENCH_treap.json; plus a tiny
 #                            # fig1_overview run
-#   scripts/ci.sh backend    # reachability backend matrix: full ctest with
-#                            # -DPINT_REACH_BACKEND=sporder (the non-default
-#                            # engine; tier1/tsan already cover depa), a
-#                            # byte-for-byte race-report digest diff between
-#                            # the two plain builds (ctest -L reachmatrix
-#                            # with PINT_REACH_DIGEST), and ctest -L tsan in
-#                            # a sporder TSan build
 #   scripts/ci.sh bulkapply  # bulk-run equivalence suite (ctest -L
 #                            # bulkapply) in the plain AND the TSan builds
 #   scripts/ci.sh locks      # lockset matrix suite (ctest -L locks):
 #                            # guarded/unguarded twin kernels through every
 #                            # detector, in the plain AND the TSan builds
 #   scripts/ci.sh simd       # hot-path knob suite (ctest -L simd): arena /
-#                            # tier / SIMD-finalize bit-identity, in the
+#                            # SIMD-finalize bit-identity, in the
 #                            # portable build AND a -DPINT_MARCH_NATIVE=ON
 #                            # build (native vs scalar-fallback codegen)
 #   scripts/ci.sh perfgate   # perf-regression gate: re-runs both micro
-#                            # benches and fails on a >10% geomean
-#                            # regression vs the committed BENCH_*.json, or
-#                            # any enforced treap row under its bar
-#                            # (scripts/perfgate.py via ctest -L perfgate)
+#                            # benches and the fig3 sweep, and fails on a
+#                            # geomean regression vs the committed
+#                            # BENCH_*.json beyond its tolerance, any
+#                            # enforced treap row under its bar, or a fig3
+#                            # snapshot from a host with a different
+#                            # hardware-thread count (scripts/perfgate.py
+#                            # via ctest -L perfgate)
 #
 # Each lane builds into its own directory (build/, build-tsan/, build-asan/,
 # build-notelem/) so switching lanes never churns another lane's objects.  A
@@ -51,8 +47,7 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 LANES=("$@")
 if [ ${#LANES[@]} -eq 0 ]; then
-  LANES=(tier1 tsan asan faults telemetry perf bulkapply locks simd backend
-         perfgate)
+  LANES=(tier1 tsan asan faults telemetry perf bulkapply locks simd perfgate)
 fi
 
 build_dir() {
@@ -155,52 +150,10 @@ run_lane() {
       ./build/bench/micro_treap --bulk-json BENCH_treap.json
       python3 -m json.tool BENCH_treap.json > /dev/null
       echo "validated BENCH_treap.json"
-      # micro_reach enforces the reachability storm bar itself: exits
-      # non-zero unless DePa's unmemoized precedes() rate averages >= 2x
-      # SpOrder's (geomean over the 16-thread storm schedules, against a
-      # pre-grown 2M-strand structure).  The JSON it emits is the committed
-      # BENCH_reach.json.
-      ./build/bench/micro_reach --json BENCH_reach.json
-      python3 -m json.tool BENCH_reach.json > /dev/null
-      echo "validated BENCH_reach.json"
       # Smoke the end-to-end overhead figure at a tiny scale: catches a
       # detector that silently stopped taking the fast path in the full
       # harness (the run aborts on verification failure or false races).
       ./build/bench/fig1_overview --kernel mmul --scale 0.25 --reps 1
-      return
-      ;;
-    backend)
-      # The seam contract (reach/engine.hpp) must hold for BOTH engines at
-      # all times.  tier1/tsan exercise the default backend (depa); this
-      # lane builds the sporder twin, runs the full suite against it, and
-      # certifies the headline cross-backend property: byte-identical race
-      # reports on the reachmatrix suite, plain and under TSan.
-      echo "=== lane: backend (build dirs: build, build-reach-sporder," \
-           "build-reach-sporder-tsan) ==="
-      build_dir build ""
-      cmake -B build-reach-sporder -S . -DCMAKE_BUILD_TYPE=Release \
-        -DPINT_SAN="" -DPINT_REACH_BACKEND=sporder
-      cmake --build build-reach-sporder -j "$JOBS"
-      (cd build-reach-sporder && ctest --output-on-failure)
-      # Race-report digest diff: the reachmatrix tests append one canonical
-      # line per detector run when PINT_REACH_DIGEST is set; the two
-      # backends must produce byte-identical files.
-      local ddir
-      ddir="$(mktemp -d)"
-      (cd build && PINT_REACH_DIGEST="$ddir/depa.txt" \
-        ctest --output-on-failure -L reachmatrix)
-      (cd build-reach-sporder && PINT_REACH_DIGEST="$ddir/sporder.txt" \
-        ctest --output-on-failure -L reachmatrix)
-      diff "$ddir/depa.txt" "$ddir/sporder.txt"
-      echo "race-report digests bit-identical across backends" \
-           "($(wc -l < "$ddir/depa.txt") detector runs)"
-      rm -rf "$ddir"
-      # The sporder engine's seqlock protocol needs its own TSan
-      # certification (the tsan lane's build is depa).
-      cmake -B build-reach-sporder-tsan -S . -DCMAKE_BUILD_TYPE=Release \
-        -DPINT_SAN=thread -DPINT_REACH_BACKEND=sporder
-      cmake --build build-reach-sporder-tsan -j "$JOBS"
-      (cd build-reach-sporder-tsan && ctest --output-on-failure -L tsan)
       return
       ;;
     perfgate)

@@ -25,8 +25,9 @@ compares them against the committed BENCH_access.json / BENCH_treap.json
     this is the key that keeps the next PR from quietly reintroducing the
     reachability scaling cliff.  The fresh fig3 run is replayed at the
     committed snapshot's scale and kernel list so the comparison is
-    apples-to-apples, and a backend mismatch between the snapshots is a
-    hard failure (efficiencies of different oracles are not comparable).
+    apples-to-apples, and a hardware-thread-count mismatch between the
+    snapshots is a hard "rebaseline required" failure (efficiencies taken
+    on hosts with different core counts are not comparable).
 
 The in-binary acceptance bars (cursor >= 3x, sort cursor rate > 0.5, heat
 memo rate > 0.5, enforced treap rows >= bar on their own fresh numbers)
@@ -111,18 +112,18 @@ def gate_treap(baseline, fresh):
 
 def gate_fig3(baseline, fresh, scaling_tolerance):
     """Scaling key: per-kernel efficiency@max is a ratio of two noisy cell
-    times (measured single-run spread on the shared 1-core host is ~+/-15%),
+    times (measured single-run spread on a shared 1-core host is ~+/-15%),
     so the enforced --scaling-tolerance bound applies to the GEOMEAN of the
     per-kernel efficiency ratios; each kernel also gets a loose 25% floor -
     wide enough for cell noise, far below the 10-100x collapse an actual
     reachability cliff reintroduction shows (DESIGN.md section 14.4)."""
     kernel_floor = 0.25
     failures = []
-    if baseline.get("backend") != fresh.get("backend"):
-        return [f"FAIL fig3 backend mismatch: committed "
-                f"'{baseline.get('backend')}' vs fresh "
-                f"'{fresh.get('backend')}' (re-commit BENCH_fig3.json for "
-                f"the active PINT_REACH_BACKEND)"]
+    if baseline.get("hw_threads") != fresh.get("hw_threads"):
+        return [f"FAIL fig3 rebaseline required: committed BENCH_fig3.json "
+                f"was taken on {baseline.get('hw_threads')} hardware "
+                f"thread(s), this host has {fresh.get('hw_threads')} "
+                f"(re-commit BENCH_fig3.json from this host)"]
     fresh_rows = {k["name"]: k for k in fresh.get("kernels", [])}
     log_sum, n = 0.0, 0
     for row in baseline.get("kernels", []):

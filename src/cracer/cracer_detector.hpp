@@ -3,7 +3,7 @@
 // C-RACER baseline (Utterback et al., SPAA'16): the state-of-the-art
 // *parallel* race detector with conventional hashmap-style access history.
 //
-// Same reachability engine as PINT (WSP-Order / SP-order labels), but the
+// Same reachability engine as PINT (DePa path labels), but the
 // access history is shadow memory queried and updated *synchronously at
 // every memory access* - the cost profile PINT's interval-based history is
 // designed to beat.  Because checks are per-access, strands need no interval
@@ -20,7 +20,7 @@
 #include "detect/report.hpp"
 #include "detect/run_result.hpp"
 #include "detect/stats.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/spinlock.hpp"
 #include "support/timer.hpp"
@@ -70,14 +70,14 @@ class CracerDetector final : public detect::Detector,
                      bool trivial) override;
 
  private:
-  AccessorRec* alloc_strand(const reach::Engine::Label& label, const char* tag,
+  AccessorRec* alloc_strand(const reach::DePaLabel& label, const char* tag,
                             detect::lockset_t lsid = 0);
   void read_cell(ShadowCell& c, const AccessorRec& me);
   void write_cell(ShadowCell& c, const AccessorRec& me);
   void on_lock_event(rt::TaskFrame& f, detect::addr_t lock, bool acquire);
 
   Options opt_;
-  reach::Engine reach_;
+  reach::DePaEngine reach_;
   detect::RaceReporter rep_;
   detect::Stats stats_;
   ShadowMemory shadow_;

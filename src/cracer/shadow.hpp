@@ -19,14 +19,14 @@
 
 #include "detect/lockset.hpp"
 #include "detect/types.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "support/assert.hpp"
 #include "support/spinlock.hpp"
 
 namespace pint::cracer {
 
 struct AccessorRec {
-  reach::Engine::Label label;
+  reach::DePaLabel label;
   std::uint64_t sid = 0;        // 0 = empty
   const char* tag = nullptr;    // task name from named spawns, for reports
   detect::lockset_t lsid = 0;   // lockset held during this segment

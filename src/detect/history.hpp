@@ -12,7 +12,7 @@
 #include "detect/report.hpp"
 #include "detect/stats.hpp"
 #include "detect/strand.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "treap/interval_treap.hpp"
 
 namespace pint::detect {
@@ -65,11 +65,10 @@ inline treap::Accessor accessor_of(const Strand& s) {
 /// segments held no common lock (epoch×lockset filtering, DESIGN.md §12).
 /// `me` is captured by value; engine/reporter/stats by reference.  `memo`
 /// (optional) is the calling history worker's private precedes() cache.
-template <class Engine = reach::Engine>
 inline auto make_conflict_cb(treap::Accessor me, bool prev_write,
-                             bool cur_write, Engine& reach,
+                             bool cur_write, reach::DePaEngine& reach,
                              RaceReporter& rep, Stats& stats,
-                             typename Engine::Memo* memo = nullptr) {
+                             reach::DePaMemo* memo = nullptr) {
   return [me, prev_write, cur_write, &reach, &rep, &stats, memo](
              addr_t lo, addr_t hi, const treap::Accessor& prev) {
     if (prev.sid == me.sid) return;  // a strand cannot race with itself
@@ -88,17 +87,15 @@ inline auto make_conflict_cb(treap::Accessor me, bool prev_write,
 /// to DAG-conforming processing).  One Relation answers series-ness AND the
 /// left/right tiebreak (left_of(me, prev) is the negated English bit), so
 /// the memo pays off even on the resolver path.
-template <class Engine = reach::Engine>
-inline auto make_reader_resolver(treap::Accessor me, Engine& reach,
+inline auto make_reader_resolver(treap::Accessor me, reach::DePaEngine& reach,
                                  Stats& stats, ReaderSide side,
-                                 typename Engine::Memo* memo = nullptr) {
+                                 reach::DePaMemo* memo = nullptr) {
   return [me, &reach, &stats, side, memo](const treap::Accessor& prev,
                                           const treap::Accessor& cur) {
     (void)cur;
     if (prev.sid == me.sid) return false;
     stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
-    const typename Engine::Relation r =
-        reach.relation(prev.label, me.label, memo);
+    const reach::Relation r = reach.relation(prev.label, me.label, memo);
     if (r.eng && r.heb) return true;  // prev ~> me
     switch (side) {
       case ReaderSide::kLeftMost:
@@ -116,11 +113,11 @@ inline auto make_reader_resolver(treap::Accessor me, Engine& reach,
 /// against and inserted into it (query-before-insert, per Theorem 5's
 /// proof), then clears applied. Works with any store exposing the treap's
 /// query/insert_writer/insert_reader/erase_range interface.
-template <class History, class Engine = reach::Engine>
+template <class History>
 inline void process_writer_treap(History& t, const Strand& s,
-                                 Engine& reach, RaceReporter& rep,
+                                 reach::DePaEngine& reach, RaceReporter& rep,
                                  Stats& stats,
-                                 typename Engine::Memo* memo = nullptr) {
+                                 reach::DePaMemo* memo = nullptr) {
   const treap::Accessor me = accessor_of(s);
   const bool bulk = bulk_apply();
   const auto& reads = s.reads.items();
@@ -153,11 +150,11 @@ inline void process_writer_treap(History& t, const Strand& s,
 
 /// Writes checked against the reader history, then reads inserted with the
 /// side's retention rule, then clears applied.
-template <class History, class Engine = reach::Engine>
+template <class History>
 inline void process_reader_treap(History& t, const Strand& s,
-                                 Engine& reach, RaceReporter& rep,
+                                 reach::DePaEngine& reach, RaceReporter& rep,
                                  Stats& stats, ReaderSide side,
-                                 typename Engine::Memo* memo = nullptr) {
+                                 reach::DePaMemo* memo = nullptr) {
   const treap::Accessor me = accessor_of(s);
   const bool bulk = bulk_apply();
   const auto& writes = s.writes.items();

@@ -17,7 +17,7 @@
 
 #include "detect/lockset.hpp"
 #include "detect/types.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 
 namespace pint::rt {
 struct TaskFrame;
@@ -27,7 +27,7 @@ namespace pint::detect {
 
 struct Strand {
   std::uint64_t sid = 0;
-  reach::Engine::Label label;
+  reach::DePaLabel label;
   /// Task name of the strand's owning task (named spawns); for reports.
   const char* tag = nullptr;
   /// Interned lockset held while this segment's accesses were recorded

@@ -39,12 +39,6 @@ struct Tuning {
   /// wholesale.  Global knob; changes allocation provenance only, never
   /// stored bytes - results are bit-identical either way.
   bool arena = true;
-  /// Tiered history (DESIGN.md §13): each history lane keeps a flat sorted
-  /// cold tier under the treap hot frontier.  Per-detector: read at
-  /// construction (the stores are built in the constructor).  Off by
-  /// default: the tier wins on query-dominated stores and is measured by
-  /// micro_treap; the kernel suite is rewrite-heavy.
-  bool tier = false;
   /// SIMD/branchless AccessBuffer::finalize (DESIGN.md §13): sortedness
   /// detector + radix bucketing + AVX2 merge mask, runtime-dispatched with
   /// a bit-identical scalar fallback.  Global knob.

@@ -24,7 +24,7 @@
 #include "detect/run_result.hpp"
 #include "detect/stats.hpp"
 #include "detect/strand.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace pint::oracle {
@@ -85,7 +85,7 @@ class OracleDetector final : public detect::Detector,
 
  private:
   struct StrandInfo {
-    reach::Engine::Label label;
+    reach::DePaLabel label;
     std::uint64_t sid;
     detect::lockset_t lsid = 0;  // lockset held during this segment
   };
@@ -94,14 +94,14 @@ class OracleDetector final : public detect::Detector,
     bool write;
   };
 
-  StrandInfo* alloc_strand(const reach::Engine::Label& l,
+  StrandInfo* alloc_strand(const reach::DePaLabel& l,
                            detect::lockset_t lsid = 0);
   void on_lock_event(rt::TaskFrame& f, detect::addr_t lock, bool acquire);
   void record(StrandInfo* who, detect::addr_t lo, detect::addr_t hi, bool write);
   void clear_range(detect::addr_t lo, detect::addr_t hi);
 
   Options opt_;
-  reach::Engine reach_;
+  reach::DePaEngine reach_;
   detect::RaceReporter rep_;
   detect::Stats stats_;
   std::vector<StrandInfo*> strands_;

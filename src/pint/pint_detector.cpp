@@ -105,9 +105,9 @@ T* pool_take(Spinlock& mu, std::vector<T*>& pool,
 PintDetector::PintDetector(const Options& opt)
     : opt_(opt),
       queue_(opt.queue_capacity),
-      writer_treap_(subseed(opt.seed, 1), opt.tuning.tier),
-      lreader_treap_(subseed(opt.seed, 2), opt.tuning.tier),
-      rreader_treap_(subseed(opt.seed, 3), opt.tuning.tier) {
+      writer_treap_(subseed(opt.seed, 1)),
+      lreader_treap_(subseed(opt.seed, 2)),
+      rreader_treap_(subseed(opt.seed, 3)) {
   rep_.set_verbose(opt_.verbose_races);
   PINT_CHECK_MSG(
       opt_.history_shards == 0 || opt_.history == detect::HistoryKind::kTreap,
@@ -116,7 +116,7 @@ PintDetector::PintDetector(const Options& opt)
     shards_.push_back(std::make_unique<HistoryShard>(
         subseed(opt_.seed, 10 + std::uint64_t(k) * 3),
         subseed(opt_.seed, 11 + std::uint64_t(k) * 3),
-        subseed(opt_.seed, 12 + std::uint64_t(k) * 3), opt_.tuning.tier));
+        subseed(opt_.seed, 12 + std::uint64_t(k) * 3)));
   }
   for (int i = 0; i < opt_.core_workers; ++i) {
     auto ws = std::make_unique<CoreWS>();
@@ -512,7 +512,7 @@ void PintDetector::on_spawn(rt::Worker& w, rt::TaskFrame& parent,
   auto* j = static_cast<Strand*>(blk.det_sync);
   if (j == nullptr) {
     // First spawn of the sync block: create the sync node now so its label
-    // is in series with the entire block (see reach/sp_order.hpp).
+    // is in series with the entire block (see reach/depa.hpp).
     j = alloc_strand(ws);
     blk.det_sync = j;
   }
@@ -566,10 +566,7 @@ void PintDetector::on_continuation(rt::Worker& w, rt::TaskFrame& parent,
   parent.det_strand = t;
   if (stolen) {
     // Algorithm 1, lines 22-24: a stolen continuation starts a new trace on
-    // the thief.  The reachability engine hears about the migration too -
-    // a no-op for both current backends (their labels are globally valid),
-    // but the seam's contract for an engine keeping per-worker state.
-    reach_.on_steal(t->label);
+    // the thief.
     auto& ws = *static_cast<CoreWS*>(w.det_worker);
     start_new_trace(ws);
   }
@@ -600,9 +597,6 @@ void PintDetector::on_after_sync(rt::Worker& w, rt::TaskFrame& f,
                                  rt::SyncBlock& blk, bool trivial) {
   auto* j = static_cast<Strand*>(blk.det_sync);
   if (j == nullptr) return;
-  // Join maintenance: the strand that reached the sync joins the block's
-  // sync node (no-op for both current backends; seam contract).
-  reach_.on_join(static_cast<Strand*>(f.det_strand)->label, j->label);
   if (!trivial) {
     // Algorithm 1, lines 35-37: a non-trivial sync starts a new trace on
     // whichever worker passed it.
@@ -899,7 +893,7 @@ void PintDetector::reader_loop(ReaderSide side) {
   const bool left = side == ReaderSide::kLeftMost;
   telem::set_thread_role(left ? "lreader" : "rreader");
   const char* span_name = left ? "lreader.strand" : "rreader.strand";
-  detect::TieredHistory& t = left ? lreader_treap_ : rreader_treap_;
+  treap::IntervalTreap& t = left ? lreader_treap_ : rreader_treap_;
   detect::GranuleMap& m = left ? lreader_map_ : rreader_map_;
   const bool use_treap = opt_.history == detect::HistoryKind::kTreap;
   StopwatchAccum& watch = left ? lreader_watch_ : rreader_watch_;
@@ -909,7 +903,7 @@ void PintDetector::reader_loop(ReaderSide side) {
   // walking the writer treap (strands that both wrote and read a region
   // appear in all three stores) is served from cache here too.  Pipelined
   // mode keeps one single-threaded cache per lane.
-  reach::Engine::Memo* memo =
+  reach::DePaMemo* memo =
       !opt_.tuning.memo
           ? nullptr
           : (seq_history_ ? &memo_writer_
@@ -1255,21 +1249,6 @@ RunResult PintDetector::run(std::function<void()> fn) {
   const support::ArenaCounters arena_now = support::arena_counters();
   stats_.arena_reuses.fetch_add(arena_now.reuses - arena_at_start.reuses);
   stats_.arena_fresh.fetch_add(arena_now.fresh - arena_at_start.fresh);
-  // Tiered-history tallies: all history threads joined (quiescence).
-  std::uint64_t tier_comp = writer_treap_.compactions() +
-                            lreader_treap_.compactions() +
-                            rreader_treap_.compactions();
-  std::uint64_t tier_cold = writer_treap_.cold_hits() +
-                            lreader_treap_.cold_hits() +
-                            rreader_treap_.cold_hits();
-  for (const auto& sh : shards_) {
-    tier_comp += sh->writer.compactions() + sh->lreader.compactions() +
-                 sh->rreader.compactions();
-    tier_cold += sh->writer.cold_hits() + sh->lreader.cold_hits() +
-                 sh->rreader.cold_hits();
-  }
-  stats_.tier_compactions.fetch_add(tier_comp);
-  stats_.tier_cold_hits.fetch_add(tier_cold);
   // Memo-cache totals: all history threads are joined (quiescence), so the
   // plain per-cache counters are safe to sum here.
   std::uint64_t mq = memo_writer_.queries + memo_lreader_.queries +

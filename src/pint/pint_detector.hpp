@@ -4,9 +4,10 @@
 //
 // Architecture (paper §III):
 //  * CORE COMPONENT: `core_workers` workers execute the program under the
-//    continuation-stealing scheduler, maintain WSP-Order reachability
-//    labels, coalesce each strand's accesses into intervals, and deposit
-//    finished strands into per-worker trace FIFOs (Algorithm 1).
+//    continuation-stealing scheduler, maintain DePa reachability labels
+//    (standing in for the paper's WSP-Order; DESIGN.md §3), coalesce each
+//    strand's accesses into intervals, and deposit finished strands into
+//    per-worker trace FIFOs (Algorithm 1).
 //  * ACCESS-HISTORY COMPONENT: three treap workers run asynchronously.  The
 //    WRITER treap worker collects ready strands from the traces in a
 //    DAG-conforming order (Algorithm 2 + collection rules), appends them to
@@ -33,11 +34,10 @@
 #include "detect/run_result.hpp"
 #include "detect/stats.hpp"
 #include "detect/strand.hpp"
-#include "detect/tiered_history.hpp"
 #include "pint/ah_queue.hpp"
 #include "pint/sharded_history.hpp"
 #include "pint/trace.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/timer.hpp"
 #include "support/watchdog.hpp"
@@ -92,9 +92,9 @@ class PintDetector final : public detect::Detector,
 
   detect::RaceReporter& reporter() override { return rep_; }
   const detect::Stats& stats() const override { return stats_; }
-  reach::Engine& reachability() { return reach_; }
+  reach::DePaEngine& reachability() { return reach_; }
   /// Valid after run() when Options::record_collection_order was set.
-  const std::vector<reach::Engine::Label>& collection_order() const {
+  const std::vector<reach::DePaLabel>& collection_order() const {
     return collection_log_;
   }
 
@@ -209,22 +209,22 @@ class PintDetector final : public detect::Detector,
   void dump_progress(const char* stalled);
 
   Options opt_;
-  reach::Engine reach_;
+  reach::DePaEngine reach_;
   detect::RaceReporter rep_;
   detect::Stats stats_;
   AhQueue queue_;
-  detect::TieredHistory writer_treap_;
-  detect::TieredHistory lreader_treap_;
-  detect::TieredHistory rreader_treap_;
+  treap::IntervalTreap writer_treap_;
+  treap::IntervalTreap lreader_treap_;
+  treap::IntervalTreap rreader_treap_;
   detect::GranuleMap writer_map_;
   detect::GranuleMap lreader_map_;
   detect::GranuleMap rreader_map_;
   // Per-history-worker precedes() memo caches: each is touched only by the
   // one thread that owns the matching store (sharded mode keeps its own
   // cache inside each HistoryShard).
-  reach::Engine::Memo memo_writer_;
-  reach::Engine::Memo memo_lreader_;
-  reach::Engine::Memo memo_rreader_;
+  reach::DePaMemo memo_writer_;
+  reach::DePaMemo memo_lreader_;
+  reach::DePaMemo memo_rreader_;
   std::vector<std::unique_ptr<HistoryShard>> shards_;
 
   std::vector<std::unique_ptr<CoreWS>> ws_;
@@ -288,7 +288,7 @@ class PintDetector final : public detect::Detector,
   std::atomic<std::int64_t> strands_outstanding_{0};
 
   StopwatchAccum writer_watch_, lreader_watch_, rreader_watch_;
-  std::vector<reach::Engine::Label> collection_log_;  // writer-thread only
+  std::vector<reach::DePaLabel> collection_log_;  // writer-thread only
 };
 
 }  // namespace pint::pintd

@@ -22,8 +22,7 @@
 #include <vector>
 
 #include "detect/history.hpp"
-#include "detect/tiered_history.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
 #include "treap/interval_treap.hpp"
@@ -60,17 +59,16 @@ inline void for_shard_pieces(detect::addr_t lo, detect::addr_t hi, int shard,
 
 /// One history shard: the full three-store summary for its stripes.
 struct HistoryShard {
-  detect::TieredHistory writer;
-  detect::TieredHistory lreader;
-  detect::TieredHistory rreader;
+  treap::IntervalTreap writer;
+  treap::IntervalTreap lreader;
+  treap::IntervalTreap rreader;
   StopwatchAccum watch;
   // precedes() memo - touched only by this shard's worker thread, like the
   // treaps above.  Counters summed into Stats at run end (quiescence).
-  reach::Engine::Memo memo;
+  reach::DePaMemo memo;
 
-  HistoryShard(std::uint64_t seed_w, std::uint64_t seed_l, std::uint64_t seed_r,
-               bool tier = false)
-      : writer(seed_w, tier), lreader(seed_l, tier), rreader(seed_r, tier) {}
+  HistoryShard(std::uint64_t seed_w, std::uint64_t seed_l, std::uint64_t seed_r)
+      : writer(seed_w), lreader(seed_l), rreader(seed_r) {}
 
   /// Applies one strand record to this shard (reads checked then inserted,
   /// writes checked against all three stores then inserted, clears/frees
@@ -84,12 +82,12 @@ struct HistoryShard {
   /// mutate and the per-store event sequences are identical); only the
   /// interleaving of the three stores' reports within a strand moves.
   void process(const detect::Strand& s, int shard, int nshards,
-               reach::Engine& reach, detect::RaceReporter& rep,
+               reach::DePaEngine& reach, detect::RaceReporter& rep,
                detect::Stats& stats, bool use_memo = true) {
     using detect::ReaderSide;
     const treap::Accessor me = detect::accessor_of(s);
     const bool bulk = detect::bulk_apply();
-    reach::Engine::Memo* const mm = use_memo ? &memo : nullptr;
+    reach::DePaMemo* const mm = use_memo ? &memo : nullptr;
 
     if (bulk && s.reads.canonical()) {
       gather_pieces(s.reads.items(), shard, nshards);

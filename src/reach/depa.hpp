@@ -1,11 +1,12 @@
 #pragma once
 
-// DePa graph-encoded reachability for series-parallel DAGs (DESIGN.md §14).
+// DePa graph-encoded reachability for series-parallel DAGs (DESIGN.md §14):
+// the happens-before oracle of every detector.
 //
-// Where the SP-order backend (sp_order.hpp) maintains two shared
-// order-maintenance lists - and therefore pays seqlock-guarded group splits
-// and top-level relabels that stall every concurrent reader - this backend
-// encodes each strand's position IN ITS OWN LABEL: the path from the root of
+// Where the paper's WSP-Order maintains two shared order-maintenance lists -
+// and therefore pays group splits and top-level relabels that stall every
+// concurrent reader - this engine encodes each strand's position IN ITS OWN
+// LABEL: the path from the root of
 // the binary fork-join decomposition, as a string of 2-bit symbols packed
 // into 64-bit words (a (depth, path-bitstring) pair, after Westrick/Wang/
 // Acar's "DePa: Simple, Provably Efficient, and Practical Order Maintenance
@@ -15,8 +16,8 @@
 //
 //     child        = u . Child
 //     continuation = u . Cont
-//     sync node    = u . Join     (created at the block's FIRST spawn,
-//                                  exactly the sp_order sync-node contract)
+//     sync node    = u . Join     (created at the block's FIRST spawn, so
+//                                  the whole block precedes it)
 //
 // and for two labels the relation is decided by the LOWEST-indexed symbol
 // where the paths diverge:
@@ -34,15 +35,18 @@
 // stop its word-compare loop the moment both sides reach the same chunk
 // object - everything below the fork is identical by construction.
 //
-// What this buys over SP-order, structurally:
+// What this buys over an order-maintenance list, structurally:
 //   * on_spawn touches no shared mutable state (one spinlocked slab bump
 //     every 32 symbols of depth is the only cross-thread contact),
 //   * relation() is a pure word-compare over immutable memory - no seqlock
 //     windows, no retries, no fences - safe and wait-free from any lane,
-//   * structural_epoch() is constant: a cached pair verdict can never be
-//     invalidated structurally, so the memo is re-keyed on label CONTENT
-//     (tail word + chunk pointer + bit length per side) and entries live
-//     forever.
+//     and safe concurrently with on_spawn on the core workers,
+//   * a cached pair verdict can never be invalidated, so the memo is keyed
+//     on label CONTENT (tail word + chunk pointer + bit length per side) and
+//     entries live forever.
+//
+// Labels are immutable once published and outlive the strand records that
+// carry them (history treaps retain labels after strand recycling).
 
 #include <bit>
 #include <cstddef>
@@ -55,8 +59,16 @@
 
 namespace pint::reach {
 
-// Relation{eng, heb} is shared with the SP-order backend (sp_order.hpp).
-struct Relation;
+/// Both order verdicts for an ordered label pair (u, v).  One Relation
+/// answers every predicate the history lanes ask: series (eng && heb),
+/// parallel (eng != heb), and English-order left_of (eng) - and because the
+/// two orders are strict total orders over distinct labels, the reversed
+/// pair is just the negation of both bits.  Equal labels are ordered by
+/// NEITHER ({false, false}), which makes same-label lockset segments inert.
+struct Relation {
+  bool eng = false;  // u before v in the English order
+  bool heb = false;  // u before v in the Hebrew order
+};
 
 /// One frozen 64-bit word of a label's path, reverse-linked toward the root.
 /// Immutable after publication; allocated from the engine's slab arena and
@@ -82,13 +94,11 @@ struct DePaLabel {
 };
 
 /// Pair-verdict memo for DePaEngine::relation().  One per history lane,
-/// strictly single-threaded, direct-mapped like the SP-order MemoCache - but
-/// keyed on label IDENTITY (the full 20-byte content of each side) instead
-/// of om::Group version sums.  DePa labels are immutable and a given path
-/// has exactly one (frozen, tail, bits) representation, so a key match IS
-/// the verdict: entries never need invalidation and there is no validation
-/// read at all on a hit.  structural_epoch() being constant is the same
-/// fact seen from the outside.
+/// strictly single-threaded and direct-mapped, keyed on label IDENTITY (the
+/// full 20-byte content of each side).  DePa labels are immutable and a
+/// given path has exactly one (frozen, tail, bits) representation, so a key
+/// match IS the verdict: entries never need invalidation and there is no
+/// validation read at all on a hit.
 class DePaMemo {
  public:
   static constexpr std::size_t kSlots = std::size_t(1) << 14;  // 1 MiB
@@ -154,18 +164,9 @@ class DePaMemo {
   std::vector<Entry> entries_;
 };
 
-/// The DePa (graph-encoded) happens-before backend.  Selected via
-/// -DPINT_REACH_BACKEND=depa; satisfies reach::HappensBeforeEngine.
+/// The DePa (graph-encoded) happens-before engine.
 class DePaEngine {
  public:
-  using Label = DePaLabel;
-  using Memo = DePaMemo;
-  // Relation is defined in sp_order.hpp (both backends share it); alias
-  // established below, after the symbol constants.
-  using Relation = reach::Relation;
-
-  static constexpr const char* kName = "depa";
-
   DePaEngine() = default;
   DePaEngine(const DePaEngine&) = delete;
   DePaEngine& operator=(const DePaEngine&) = delete;
@@ -175,15 +176,15 @@ class DePaEngine {
   }
 
   /// Label of the computation's initial strand: the empty path.
-  Label root_label() {
-    Label l;
+  DePaLabel root_label() {
+    DePaLabel l;
     l.live = 1;
     return l;
   }
 
   struct SpawnLabels {
-    Label child;  // first strand of the spawned function
-    Label cont;   // continuation strand of the parent
+    DePaLabel child;  // first strand of the spawned function
+    DePaLabel cont;   // continuation strand of the parent
   };
 
   /// Called when strand `u` executes a spawn.  O(1): extends u's path by one
@@ -193,7 +194,7 @@ class DePaEngine {
   /// node's label - u.Join - is created and stored there; every strand of
   /// the block extends u by Child/Cont strings that diverge from Join at the
   /// same symbol, which is exactly what makes the block precede its sync.
-  SpawnLabels on_spawn(const Label& u, Label* sync_node) {
+  SpawnLabels on_spawn(const DePaLabel& u, DePaLabel* sync_node) {
     SpawnLabels out;
     out.child = append(u, kChild);
     out.cont = append(u, kCont);
@@ -201,32 +202,24 @@ class DePaEngine {
     return out;
   }
 
-  /// Steal/join maintenance: DePa labels are globally valid the moment they
-  /// are minted (nothing is worker-relative), so both are no-ops here.  The
-  /// detectors still CALL them on the stolen-continuation and sync-elapsed
-  /// paths - the seam's contract, so a backend tracking per-worker state
-  /// plugs in without touching the trace layers.
-  void on_steal(const Label&) {}
-  void on_join(const Label&, const Label&) {}
-
   /// Both order verdicts for (u, v).  Wait-free: reads only the two labels'
   /// immutable words.  The memo can change the cost, never the verdict, and
   /// a null memo degrades to the direct word-compare.
-  Relation relation(const Label& u, const Label& v, Memo* memo) const;
+  Relation relation(const DePaLabel& u, const DePaLabel& v,
+                    DePaMemo* memo) const;
 
   /// u ~> v : is u in series with (an ancestor of) v?
-  bool precedes(const Label& u, const Label& v, Memo* memo = nullptr) const;
+  bool precedes(const DePaLabel& u, const DePaLabel& v,
+                DePaMemo* memo = nullptr) const;
 
   /// u || v : logically parallel (neither reaches the other).
-  bool parallel(const Label& u, const Label& v, Memo* memo = nullptr) const;
+  bool parallel(const DePaLabel& u, const DePaLabel& v,
+                DePaMemo* memo = nullptr) const;
 
   /// For two *parallel* strands: is u left of v in the left-to-right
   /// depth-first execution order? (English-order comparison.)
-  bool left_of(const Label& u, const Label& v, Memo* memo = nullptr) const;
-
-  /// Labels are immutable and self-contained: no structural mutation can
-  /// ever invalidate a cached verdict.  Constant (and trivially monotone).
-  std::uint64_t structural_epoch() const { return 0; }
+  bool left_of(const DePaLabel& u, const DePaLabel& v,
+               DePaMemo* memo = nullptr) const;
 
   /// Total frozen chunks minted (test/stats visibility).
   std::uint64_t chunks_minted() const {
@@ -241,16 +234,16 @@ class DePaEngine {
   static constexpr std::uint64_t kCont = 0b10;   // parent's continuation
   static constexpr std::uint64_t kJoin = 0b11;   // the block's sync node
 
-  static std::uint32_t frozen_words(const Label& l) {
+  static std::uint32_t frozen_words(const DePaLabel& l) {
     return l.frozen == nullptr ? 0 : l.frozen->index + 1;
   }
 
   /// u extended by one symbol.  The tail has room for at most 31 symbols;
   /// the 32nd fills the word, which is frozen into a shared chunk.
-  Label append(const Label& u, std::uint64_t sym) {
+  DePaLabel append(const DePaLabel& u, std::uint64_t sym) {
     PINT_ASSERT(u.valid());
     const std::uint32_t tail_len = u.bits - 64 * frozen_words(u);
-    Label out = u;
+    DePaLabel out = u;
     out.live = 1;
     out.tail = u.tail | (sym << tail_len);
     out.bits = u.bits + 2;
@@ -284,7 +277,7 @@ class DePaEngine {
     void step_back() { chunk = chunk != nullptr ? chunk->prev : head; }
   };
 
-  static Cursor cursor_at(const Label& l, std::uint32_t j) {
+  static Cursor cursor_at(const DePaLabel& l, std::uint32_t j) {
     Cursor c{nullptr, l.frozen, l.tail};
     if (j < frozen_words(l)) {
       const DePaPathChunk* p = l.frozen;
@@ -294,11 +287,11 @@ class DePaEngine {
     return c;
   }
 
-  static bool label_eq(const Label& u, const Label& v) {
+  static bool label_eq(const DePaLabel& u, const DePaLabel& v) {
     return u.bits == v.bits && u.tail == v.tail && u.frozen == v.frozen;
   }
 
-  static Relation relation_direct(const Label& u, const Label& v);
+  static Relation relation_direct(const DePaLabel& u, const DePaLabel& v);
 
   static constexpr std::size_t kSlabBytes = std::size_t(64) << 10;
   static constexpr std::size_t kChunksPerSlab = kSlabBytes / sizeof(DePaPathChunk);
@@ -309,17 +302,8 @@ class DePaEngine {
   std::uint64_t chunks_minted_ = 0;
 };
 
-}  // namespace pint::reach
-
-// Relation's definition lives in sp_order.hpp; both backend headers are
-// always compiled together (engine.hpp includes both), so pulling it in here
-// keeps this header self-sufficient without duplicating the type.
-#include "reach/sp_order.hpp"
-
-namespace pint::reach {
-
-inline DePaEngine::Relation DePaEngine::relation_direct(const Label& u,
-                                                        const Label& v) {
+inline Relation DePaEngine::relation_direct(const DePaLabel& u,
+                                            const DePaLabel& v) {
   PINT_ASSERT(u.valid() && v.valid());
   if (label_eq(u, v)) return {};  // same label: strictly ordered by neither
 
@@ -387,8 +371,8 @@ inline DePaEngine::Relation DePaEngine::relation_direct(const Label& u,
   return {};  // identical content (same vertex reached via copies)
 }
 
-inline DePaEngine::Relation DePaEngine::relation(const Label& u, const Label& v,
-                                                 Memo* memo) const {
+inline Relation DePaEngine::relation(const DePaLabel& u, const DePaLabel& v,
+                                     DePaMemo* memo) const {
   if (memo == nullptr) return relation_direct(u, v);
   ++memo->queries;
   if (label_eq(u, v)) return {};
@@ -411,20 +395,20 @@ inline DePaEngine::Relation DePaEngine::relation(const Label& u, const Label& v,
   return r;
 }
 
-inline bool DePaEngine::precedes(const Label& u, const Label& v,
-                                 Memo* memo) const {
+inline bool DePaEngine::precedes(const DePaLabel& u, const DePaLabel& v,
+                                 DePaMemo* memo) const {
   const Relation r = relation(u, v, memo);
   return r.eng && r.heb;
 }
 
-inline bool DePaEngine::parallel(const Label& u, const Label& v,
-                                 Memo* memo) const {
+inline bool DePaEngine::parallel(const DePaLabel& u, const DePaLabel& v,
+                                 DePaMemo* memo) const {
   const Relation r = relation(u, v, memo);
   return r.eng != r.heb;
 }
 
-inline bool DePaEngine::left_of(const Label& u, const Label& v,
-                                Memo* memo) const {
+inline bool DePaEngine::left_of(const DePaLabel& u, const DePaLabel& v,
+                                DePaMemo* memo) const {
   return relation(u, v, memo).eng;
 }
 

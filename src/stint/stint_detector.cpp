@@ -14,8 +14,8 @@ using detect::Strand;
 
 StintDetector::StintDetector(const Options& opt)
     : opt_(opt),
-      writer_treap_(opt.seed * 2 + 1, opt.tuning.tier),
-      reader_treap_(opt.seed * 2 + 2, opt.tuning.tier) {
+      writer_treap_(opt.seed * 2 + 1),
+      reader_treap_(opt.seed * 2 + 2) {
   rep_.set_verbose(opt_.verbose_races);
 }
 
@@ -86,7 +86,7 @@ void StintDetector::process_strand(Strand* s) {
     recycle_strand(s);
     return;
   }
-  reach::Engine::Memo* memo = opt_.tuning.memo ? &memo_ : nullptr;
+  reach::DePaMemo* memo = opt_.tuning.memo ? &memo_ : nullptr;
   // STINT's history runs inline on the execution thread; the two spans make
   // its writer/reader phases comparable with PINT's asynchronous tracks.
   writer_watch_.start();
@@ -261,12 +261,7 @@ void StintDetector::on_sync(rt::Worker&, rt::TaskFrame& f, rt::SyncBlock& blk,
                             bool trivial) {
   PINT_CHECK_MSG(trivial, "STINT must run on one worker");
   if (blk.det_sync == nullptr) return;  // no spawn since the last sync
-  auto* u = static_cast<Strand*>(f.det_strand);
-  // Join maintenance for the reachability engine (no-op for both current
-  // backends; seam contract).  Here rather than on_after_sync because this
-  // detector retires the joining strand record below.
-  reach_.on_join(u->label, static_cast<Strand*>(blk.det_sync)->label);
-  process_strand(u);
+  process_strand(static_cast<Strand*>(f.det_strand));
   f.det_strand = nullptr;
 }
 
@@ -323,10 +318,6 @@ detect::RunResult StintDetector::run(std::function<void()> fn) {
   const support::ArenaCounters arena1 = support::arena_counters();
   stats_.arena_reuses.store(arena1.reuses - arena0.reuses);
   stats_.arena_fresh.store(arena1.fresh - arena0.fresh);
-  stats_.tier_compactions.store(writer_treap_.compactions() +
-                                reader_treap_.compactions());
-  stats_.tier_cold_hits.store(writer_treap_.cold_hits() +
-                              reader_treap_.cold_hits());
   telem::count("access.tail.hits", tail_hits_);
   telem::count("access.tail.misses", tail_misses_);
   telem::count("access.finalize.sorted", fin_sorted_);

@@ -24,8 +24,7 @@
 #include "detect/run_result.hpp"
 #include "detect/stats.hpp"
 #include "detect/strand.hpp"
-#include "detect/tiered_history.hpp"
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/timer.hpp"
 #include "treap/interval_treap.hpp"
@@ -89,18 +88,18 @@ class StintDetector final : public detect::Detector,
   void on_lock_event(rt::TaskFrame& f, detect::addr_t lock, bool acquire);
 
   Options opt_;
-  reach::Engine reach_;
+  reach::DePaEngine reach_;
   detect::RaceReporter rep_;
   detect::Stats stats_;
-  detect::TieredHistory writer_treap_;
-  detect::TieredHistory reader_treap_;
+  treap::IntervalTreap writer_treap_;
+  treap::IntervalTreap reader_treap_;
   detect::GranuleMap writer_map_;
   detect::GranuleMap reader_map_;
   // precedes() memo - everything is single-threaded here, so one cache is
   // shared by the writer and reader phases: a strand pair judged while
   // walking the writer treap is served from cache again in the reader walk
   // (strands that both wrote and read a region sit in both stores).
-  reach::Engine::Memo memo_;
+  reach::DePaMemo memo_;
 
   detect::Strand* free_list_ = nullptr;
   std::vector<detect::Strand*> owned_;

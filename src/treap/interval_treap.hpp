@@ -29,7 +29,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "reach/engine.hpp"
+#include "reach/depa.hpp"
 #include "support/arena.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -39,9 +39,10 @@ namespace pint::treap {
 using addr_t = std::uint64_t;
 
 /// Persistent identity of an interval's accessor. Kept in the treap after
-/// the transient strand record is recycled (labels live in the OM arenas).
+/// the transient strand record is recycled (a DePa label is a self-contained
+/// value whose frozen path chunks live in the engine's slab arena).
 struct Accessor {
-  reach::Engine::Label label;
+  reach::DePaLabel label;
   std::uint64_t sid = 0;  // strand id, for reporting and self-access checks
   const char* tag = nullptr;  // optional task name, surfaced in race reports
   std::uint32_t lsid = 0;     // interned lockset held during the accesses
@@ -325,14 +326,6 @@ class IntervalTreap {
 
   bool empty() const { return root_ == nullptr; }
   std::size_t size() const { return count_rec(root_); }
-
-  /// Releases every stored interval back to the node free list (chunks are
-  /// retained).  Used by the tiered history's compaction, which rebuilds the
-  /// cold tier from a full traversal and then empties the hot frontier.
-  void clear() {
-    clear_rec(root_);
-    root_ = nullptr;
-  }
 
   /// In-order traversal of all stored intervals: cb(lo, hi, accessor).
   template <class F>
@@ -738,12 +731,6 @@ class IntervalTreap {
     return n ? 1 + count_rec(n->l) + count_rec(n->r) : 0;
   }
 
-  void clear_rec(Node* n) {
-    if (n == nullptr) return;
-    clear_rec(n->l);
-    clear_rec(n->r);
-    release(n);
-  }
   static bool heap_ok(const Node* n) {
     if (!n) return true;
     if (n->l && n->l->prio > n->prio) return false;

@@ -20,12 +20,12 @@ namespace {
 
 /// Harness: builds labelled strands on a real reachability engine.
 struct HistoryFixture {
-  reach::Engine reach;
+  reach::DePaEngine reach;
   detect::RaceReporter rep;
   detect::Stats stats;
   std::vector<std::unique_ptr<Strand>> strands;
 
-  Strand* strand(const reach::Engine::Label& l) {
+  Strand* strand(const reach::DePaLabel& l) {
     auto s = std::make_unique<Strand>();
     s->reset(std::uint64_t(strands.size()) + 1);
     s->label = l;

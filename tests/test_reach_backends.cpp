@@ -1,369 +1,39 @@
-// Cross-backend certification of the happens-before oracle seam
-// (DESIGN.md §14; ctest label `reachmatrix`).
-//
-// Three layers, from the engine surface out to whole detector runs:
-//
-//  1. TYPED engine tests - run the same semantic checks against BOTH
-//     backends (SpOrderEngine and DePaEngine are always compiled, whichever
-//     one `reach::Engine` aliases), including the DePa-specific regimes:
-//     paths long enough to freeze chunks, equal-label lockset splits, and
-//     memo bit-identity against the un-memoized query.
-//
-//  2. LOCKSTEP fuzz - drive both engines through the identical random spawn
-//     sequence and require bit-identical Relation verdicts on every ordered
-//     label pair, with a transitive-closure oracle arbitrating.  This is
-//     the in-binary half of the cross-backend bit-identity criterion: it
-//     holds in every build, no matter which backend is selected.
-//
-//  3. DETECTOR matrix - the full kernel x detector x history-mode sweep and
-//     the random-program / lock-twin suites run under the SELECTED backend,
-//     with canonical race-report digests.  The ci.sh `backend` lane runs
-//     this binary in a sporder build and a depa build with
-//     PINT_REACH_DIGEST set and diffs the two files byte-for-byte - THAT is
-//     the cross-build "race reports bit-identical" proof.  Every digested
-//     configuration is deterministic (one core worker; history modes only
-//     change who processes the work, never strand identity).
+// Detector-level certification of the happens-before oracle (DESIGN.md
+// §14; ctest label `reachmatrix`).  The engine surface itself is tested in
+// test_reach.cpp; here the full kernel x detector x history-mode sweep, the
+// seeded-race kernels, random programs against the oracle detector and the
+// lock-kernel twins run end to end on DePa labels.  Every configuration is
+// deterministic (one core worker; history modes only change who processes
+// the work, never strand identity).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common.hpp"
-#include "detect/report.hpp"
 #include "kernels/kernels.hpp"
-#include "reach/engine.hpp"
 
 using namespace pint;
-using test::Det;
-using test::det_name;
 
 // ---------------------------------------------------------------------------
-// 1. Typed engine-surface tests: both backends, always.
-// ---------------------------------------------------------------------------
-
-template <class E>
-class ReachBackend : public ::testing::Test {};
-
-using BothBackends = ::testing::Types<reach::SpOrderEngine, reach::DePaEngine>;
-TYPED_TEST_SUITE(ReachBackend, BothBackends);
-
-TYPED_TEST(ReachBackend, SpawnRelations) {
-  TypeParam e;
-  using L = typename TypeParam::Label;
-  L u = e.root_label();
-  L sync;
-  const auto s = e.on_spawn(u, &sync);
-  EXPECT_TRUE(e.precedes(u, s.child));
-  EXPECT_TRUE(e.precedes(u, s.cont));
-  EXPECT_TRUE(e.parallel(s.child, s.cont));
-  EXPECT_TRUE(e.left_of(s.child, s.cont));
-  EXPECT_TRUE(e.precedes(s.child, sync));
-  EXPECT_TRUE(e.precedes(s.cont, sync));
-  EXPECT_FALSE(e.precedes(sync, s.child));
-}
-
-TYPED_TEST(ReachBackend, EqualLabelsOrderedByNeither) {
-  // The lock-segmentation contract: a lock event splits a strand into
-  // segments with THE SAME label and a fresh sid; such segments must be
-  // ordered by neither relation bit, so they can never race with each
-  // other and never perturb reader retention.
-  TypeParam e;
-  using L = typename TypeParam::Label;
-  L u = e.root_label();
-  L sync;
-  const auto s = e.on_spawn(u, &sync);
-  const L copy = s.child;  // the split segment carries a byte-identical label
-  const auto r = e.relation(s.child, copy, nullptr);
-  EXPECT_FALSE(r.eng);
-  EXPECT_FALSE(r.heb);
-  EXPECT_FALSE(e.parallel(s.child, copy));
-  EXPECT_FALSE(e.precedes(s.child, copy));
-  // Memoized route must agree.
-  typename TypeParam::Memo memo;
-  const auto rm = e.relation(s.child, copy, &memo);
-  EXPECT_FALSE(rm.eng);
-  EXPECT_FALSE(rm.heb);
-}
-
-TYPED_TEST(ReachBackend, DeepChainCrossesWordBoundaries) {
-  // 200 spawns deep: DePa paths reach ~400 bits (7 words), exercising the
-  // chunk freeze/shared-suffix machinery several times over; SpOrder gets
-  // the same loop as a sublist-growth smoke.  Every prefix strand must
-  // precede every deeper one, and each child stays parallel to every
-  // later continuation's child.
-  TypeParam e;
-  using L = typename TypeParam::Label;
-  std::vector<L> chain;   // continuation spine
-  std::vector<L> kids;    // one child per level
-  std::vector<L> syncs;
-  chain.push_back(e.root_label());
-  for (int i = 0; i < 200; ++i) {
-    syncs.emplace_back();
-    const auto s = e.on_spawn(chain.back(), &syncs.back());
-    kids.push_back(s.child);
-    chain.push_back(s.cont);
-  }
-  for (std::size_t i = 0; i < chain.size(); i += 37) {
-    for (std::size_t j = i + 1; j < chain.size(); j += 23) {
-      EXPECT_TRUE(e.precedes(chain[i], chain[j])) << i << "," << j;
-      EXPECT_FALSE(e.precedes(chain[j], chain[i])) << i << "," << j;
-    }
-  }
-  // None of the per-level sync nodes is joined back into the spine, so every
-  // child is parallel to (and English-left of) everything spawned after it.
-  for (std::size_t i = 0; i < kids.size(); i += 29) {
-    for (std::size_t j = i + 1; j < kids.size(); j += 31) {
-      EXPECT_TRUE(e.parallel(kids[i], kids[j])) << i << "," << j;
-      EXPECT_TRUE(e.left_of(kids[i], kids[j])) << i << "," << j;
-      EXPECT_TRUE(e.parallel(kids[i], chain[j])) << i << "," << j;
-    }
-    EXPECT_TRUE(e.precedes(kids[i], syncs[i])) << i;
-    EXPECT_TRUE(e.precedes(chain[i + 1], syncs[i])) << i;
-  }
-}
-
-TYPED_TEST(ReachBackend, WideFanSharesOneBlock) {
-  // 100 spawns in ONE sync block: all children pairwise parallel, in
-  // spawn order under left_of, all preceding the single sync node.
-  TypeParam e;
-  using L = typename TypeParam::Label;
-  L cur = e.root_label();
-  L sync;
-  std::vector<L> kids;
-  for (int i = 0; i < 100; ++i) {
-    const auto s = e.on_spawn(cur, &sync);
-    kids.push_back(s.child);
-    cur = s.cont;
-  }
-  for (std::size_t i = 0; i < kids.size(); i += 13) {
-    for (std::size_t j = i + 1; j < kids.size(); j += 17) {
-      EXPECT_TRUE(e.parallel(kids[i], kids[j])) << i << "," << j;
-      EXPECT_TRUE(e.left_of(kids[i], kids[j])) << i << "," << j;
-      EXPECT_FALSE(e.left_of(kids[j], kids[i])) << i << "," << j;
-    }
-    EXPECT_TRUE(e.precedes(kids[i], sync));
-    EXPECT_FALSE(e.precedes(sync, kids[i]));
-  }
-  EXPECT_TRUE(e.precedes(cur, sync));
-}
-
-TYPED_TEST(ReachBackend, MemoBitIdenticalAndCounted) {
-  // The memo may change the cost of a query, never its verdict - and its
-  // counters must move (detectors fold them into Stats).
-  TypeParam e;
-  using L = typename TypeParam::Label;
-  L cur = e.root_label();
-  std::vector<L> all;
-  all.push_back(cur);
-  for (int i = 0; i < 40; ++i) {
-    L sync;
-    const auto s = e.on_spawn(cur, &sync);
-    all.push_back(s.child);
-    all.push_back(s.cont);
-    all.push_back(sync);
-    cur = (i % 3 == 0) ? s.child : s.cont;
-  }
-  typename TypeParam::Memo memo;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      for (std::size_t j = 0; j < all.size(); ++j) {
-        const auto direct = e.relation(all[i], all[j], nullptr);
-        const auto memod = e.relation(all[i], all[j], &memo);
-        ASSERT_EQ(direct.eng, memod.eng) << i << "," << j << " pass " << pass;
-        ASSERT_EQ(direct.heb, memod.heb) << i << "," << j << " pass " << pass;
-      }
-    }
-  }
-  EXPECT_GT(memo.queries, 0u);
-  EXPECT_GT(memo.hits, 0u);  // second pass must hit
-  EXPECT_LE(memo.hits, memo.queries);
-  memo.clear();
-  EXPECT_EQ(memo.queries, 0u);
-}
-
-TEST(DePaEngine, ChunkArenaFreezesLongPaths) {
-  reach::DePaEngine e;
-  EXPECT_EQ(e.chunks_minted(), 0u);
-  auto cur = e.root_label();
-  for (int i = 0; i < 40; ++i) {  // 40 symbols = 80 bits > one word
-    reach::DePaEngine::Label sync;
-    cur = e.on_spawn(cur, &sync).cont;
-  }
-  EXPECT_GT(e.chunks_minted(), 0u);
-  EXPECT_GT(cur.bits, 64u);
-  // The frozen prefix plus tail must reproduce order against a shallow label.
-  const auto root = e.root_label();
-  EXPECT_TRUE(e.precedes(root, cur));
-  EXPECT_FALSE(e.precedes(cur, root));
-}
-
-TEST(DePaEngine, StructuralEpochIsConstant) {
-  reach::DePaEngine e;
-  const std::uint64_t before = e.structural_epoch();
-  auto cur = e.root_label();
-  for (int i = 0; i < 1000; ++i) {
-    reach::DePaEngine::Label sync;
-    cur = e.on_spawn(cur, &sync).cont;
-  }
-  EXPECT_EQ(e.structural_epoch(), before);
-}
-
-// ---------------------------------------------------------------------------
-// 2. Lockstep fuzz: both engines, one spawn sequence, identical verdicts.
+// Detector matrix.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// Grows the same random fork-join computation on both engines while
-/// recording ground-truth edges for a transitive-closure oracle.
-struct DualBuilder {
-  reach::SpOrderEngine sp;
-  reach::DePaEngine dp;
-  std::vector<reach::SpOrderEngine::Label> spl;
-  std::vector<reach::DePaEngine::Label> dpl;
-  std::vector<std::pair<int, int>> edges;
-  Xoshiro256 rng;
-
-  explicit DualBuilder(std::uint64_t seed) : rng(seed) {}
-
-  int add(const reach::SpOrderEngine::Label& a,
-          const reach::DePaEngine::Label& b) {
-    spl.push_back(a);
-    dpl.push_back(b);
-    return int(spl.size()) - 1;
-  }
-
-  int run_function(int cur, int depth, int max_depth) {
-    const int blocks = 1 + int(rng.next_below(2));
-    for (int b = 0; b < blocks; ++b) {
-      const bool force = depth == 0 && b == 0;
-      if (!force && (depth >= max_depth || rng.next_below(100) < 30)) continue;
-      // Occasional WIDE blocks so sibling fans and deep tails both occur.
-      const int nspawn = rng.next_below(100) < 10 ? 6 : 1 + int(rng.next_below(3));
-      reach::SpOrderEngine::Label ssync;
-      reach::DePaEngine::Label dsync;
-      std::vector<int> tails;
-      for (int s = 0; s < nspawn; ++s) {
-        const auto sl = sp.on_spawn(spl[std::size_t(cur)], &ssync);
-        const auto dl = dp.on_spawn(dpl[std::size_t(cur)], &dsync);
-        const int child = add(sl.child, dl.child);
-        const int cont = add(sl.cont, dl.cont);
-        edges.push_back({cur, child});
-        edges.push_back({cur, cont});
-        tails.push_back(run_function(child, depth + 1, max_depth));
-        cur = cont;
-      }
-      const int j = add(ssync, dsync);
-      edges.push_back({cur, j});
-      for (int t : tails) edges.push_back({t, j});
-      cur = j;
-    }
-    return cur;
-  }
-};
-
-}  // namespace
-
-TEST(ReachLockstep, BothBackendsBitIdenticalOnRandomDags) {
-  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    DualBuilder b(seed);
-    const int root = b.add(b.sp.root_label(), b.dp.root_label());
-    b.run_function(root, 0, seed % 3 == 0 ? 5 : 4);
-
-    const std::size_t n = b.spl.size();
-    ASSERT_GE(n, 2u);
-    ASSERT_LT(n, 4000u) << "generator config drifted; closure would crawl";
-    std::vector<std::vector<char>> closure(n, std::vector<char>(n, 0));
-    for (auto [u, v] : b.edges) closure[std::size_t(u)][std::size_t(v)] = 1;
-    for (std::size_t k = 0; k < n; ++k) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!closure[i][k]) continue;
-        for (std::size_t j = 0; j < n; ++j) {
-          if (closure[k][j]) closure[i][j] = 1;
-        }
-      }
-    }
-    reach::SpOrderEngine::Memo smemo;
-    reach::DePaEngine::Memo dmemo;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (i == j) continue;
-        const auto rs = b.sp.relation(b.spl[i], b.spl[j], &smemo);
-        const auto rd = b.dp.relation(b.dpl[i], b.dpl[j], &dmemo);
-        ASSERT_EQ(rs.eng, rd.eng) << "seed=" << seed << " i=" << i << " j=" << j;
-        ASSERT_EQ(rs.heb, rd.heb) << "seed=" << seed << " i=" << i << " j=" << j;
-        ASSERT_EQ(rs.eng && rs.heb, bool(closure[i][j]))
-            << "oracle disagrees: seed=" << seed << " i=" << i << " j=" << j;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 3. Detector matrix under the selected backend, with canonical digests.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Digest sink: when PINT_REACH_DIGEST names a file, every deterministic
-/// configuration appends one canonical line.  The ci.sh backend lane diffs
-/// the files from the sporder and depa builds.
-struct Digest {
-  static FILE* file() {
-    static FILE* f = [] {
-      const char* path = std::getenv("PINT_REACH_DIGEST");
-      return path != nullptr ? std::fopen(path, "w") : nullptr;
-    }();
-    return f;
-  }
-
-  static void line(const std::string& config, std::uint64_t distinct,
-                   std::vector<detect::RaceRecord> records) {
-    FILE* f = file();
-    if (f == nullptr) return;
-    // A record's identity is (sids, kinds) - the reporter dedups on exactly
-    // that.  The lo/hi range is NOT digested: it is an absolute address
-    // (ASLR-scrambled across binaries) and records whichever of the pair's
-    // racing accesses reported first (arrival order under pipelined
-    // history), so it is environmental, not semantic.
-    std::sort(records.begin(), records.end(),
-              [](const detect::RaceRecord& a, const detect::RaceRecord& b) {
-                return std::tie(a.prev_sid, a.cur_sid, a.prev_write,
-                                a.cur_write) <
-                       std::tie(b.prev_sid, b.cur_sid, b.prev_write,
-                                b.cur_write);
-              });
-    std::fprintf(f, "%s distinct=%llu", config.c_str(),
-                 (unsigned long long)distinct);
-    for (const auto& r : records) {
-      std::fprintf(f, " %llu%c:%llu%c",
-                   (unsigned long long)r.prev_sid, r.prev_write ? 'W' : 'R',
-                   (unsigned long long)r.cur_sid, r.cur_write ? 'W' : 'R');
-    }
-    std::fprintf(f, "\n");
-    std::fflush(f);
-  }
-};
 
 struct MatrixRun {
   bool any_race = false;
   std::uint64_t distinct = 0;
-  std::uint64_t dropped = 0;
-  std::vector<detect::RaceRecord> records;
 };
 
 // Deterministic detector configurations: exactly one core worker, so strand
-// identity (sids) is schedule-independent and race-report sets are
-// reproducible across builds.  The history modes - STINT inline, PINT
-// phased, PINT pipelined, PINT sharded, C-RACER, oracle - only move WHERE
-// conflict checks run, never which strands exist.
+// identity (sids) is schedule-independent.  The history modes - STINT
+// inline, PINT phased, PINT pipelined, PINT sharded, C-RACER, oracle - only
+// move WHERE conflict checks run, never which strands exist.
 enum class Mode { kStint, kPhased, kPipelined, kSharded, kCracer, kOracle };
 
 const char* mode_name(Mode m) {
@@ -391,8 +61,7 @@ MatrixRun run_mode(Mode m, const std::function<void()>& body) {
     case Mode::kStint: {
       stint::StintDetector det(stint::StintDetector::Options{});
       det.run(body);
-      out = {det.reporter().any(), det.reporter().distinct_races(),
-             det.reporter().dropped_records(), det.reporter().records()};
+      out = {det.reporter().any(), det.reporter().distinct_races()};
       break;
     }
     case Mode::kPhased:
@@ -404,8 +73,7 @@ MatrixRun run_mode(Mode m, const std::function<void()>& body) {
       if (m == Mode::kSharded) o.history_shards = 3;
       pintd::PintDetector det(o);
       det.run(body);
-      out = {det.reporter().any(), det.reporter().distinct_races(),
-             det.reporter().dropped_records(), det.reporter().records()};
+      out = {det.reporter().any(), det.reporter().distinct_races()};
       break;
     }
     case Mode::kCracer: {
@@ -413,8 +81,7 @@ MatrixRun run_mode(Mode m, const std::function<void()>& body) {
       o.workers = 1;
       cracer::CracerDetector det(o);
       det.run(body);
-      out = {det.reporter().any(), det.reporter().distinct_races(),
-             det.reporter().dropped_records(), det.reporter().records()};
+      out = {det.reporter().any(), det.reporter().distinct_races()};
       break;
     }
     case Mode::kOracle: {
@@ -431,9 +98,8 @@ MatrixRun run_mode(Mode m, const std::function<void()>& body) {
 }  // namespace
 
 // All 7 kernels x every detector/history mode: race-free inputs must report
-// ZERO races under the selected backend (false positives are what a broken
-// relation would produce first), verify() must hold, and each cell lands in
-// the digest.
+// ZERO races (false positives are what a broken relation would produce
+// first), and verify() must hold.
 class ReachMatrixKernels
     : public ::testing::TestWithParam<std::tuple<std::string, Mode>> {};
 
@@ -445,12 +111,9 @@ TEST_P(ReachMatrixKernels, RaceFreeKernelStaysSilent) {
   k->prepare();
   const MatrixRun r = run_mode(mode, [&] { k->run(); });
   EXPECT_TRUE(k->verify()) << kernel << " under " << mode_name(mode);
-  EXPECT_FALSE(r.any_race)
-      << kernel << " false race under " << mode_name(mode) << " backend "
-      << reach::Engine::kName;
+  EXPECT_FALSE(r.any_race) << kernel << " false race under "
+                           << mode_name(mode);
   EXPECT_EQ(r.distinct, 0u);
-  Digest::line(std::string("kernel/") + kernel + "/" + mode_name(mode),
-               r.distinct, r.records);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -462,11 +125,10 @@ INSTANTIATE_TEST_SUITE_P(
              mode_name(std::get<1>(info.param));
     });
 
-// Seeded-race kernel variants: every mode must catch the race, and the
-// deterministic report set goes into the digest.
+// Seeded-race kernel variants: every mode must catch the race.
 class ReachMatrixSeeded : public ::testing::TestWithParam<Mode> {};
 
-TEST_P(ReachMatrixSeeded, SeededRacesCaughtAndDigested) {
+TEST_P(ReachMatrixSeeded, SeededRacesCaught) {
   const Mode mode = GetParam();
   for (const char* kernel : {"mmul", "heat", "sort"}) {
     kernels::KernelConfig cfg;
@@ -477,12 +139,6 @@ TEST_P(ReachMatrixSeeded, SeededRacesCaughtAndDigested) {
     const MatrixRun r = run_mode(mode, [&] { k->run(); });
     EXPECT_TRUE(r.any_race) << kernel << " seeded race missed under "
                             << mode_name(mode);
-    // Seeded kernels race on hundreds of distinct pairs - past the 256-record
-    // cap the record LIST depends on arrival order (history workers), so only
-    // the exact distinct-pair count is digested once records were dropped.
-    Digest::line(std::string("seeded/") + kernel + "/" + mode_name(mode),
-                 r.distinct,
-                 r.dropped == 0 ? r.records : std::vector<detect::RaceRecord>{});
   }
 }
 
@@ -490,9 +146,8 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ReachMatrixSeeded,
                          ::testing::ValuesIn(all_modes()),
                          [](const auto& info) { return mode_name(info.param); });
 
-// Random-program property fuzz: the selected backend must agree with the
-// oracle on ANY-race for every generated program, in every history mode;
-// racy programs' deterministic report sets join the digest.
+// Random-program property fuzz: every detector and history mode must agree
+// with the oracle on ANY-race for every generated program.
 TEST(ReachMatrixFuzz, RandomProgramsMatchOracle) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     for (const bool race_free : {true, false}) {
@@ -514,22 +169,16 @@ TEST(ReachMatrixFuzz, RandomProgramsMatchOracle) {
             run_mode(mode, [p, base] { test::exec_node(*p, base); });
         EXPECT_EQ(r.any_race, oracle_race)
             << "seed=" << seed << " race_free=" << race_free << " mode="
-            << mode_name(mode) << " backend=" << reach::Engine::kName;
-        char tag[64];
-        std::snprintf(tag, sizeof tag, "fuzz/seed%llu/%s/%s",
-                      (unsigned long long)seed, race_free ? "clean" : "racy",
-                      mode_name(mode));
-        if (r.dropped == 0) Digest::line(tag, r.distinct, r.records);
+            << mode_name(mode);
       }
     }
   }
 }
 
-// Lock-kernel twins (test_locks.cpp's matrix) re-run under the selected
-// backend: mutex-guarded twins stay silent - equal-label segment splits
-// must remain inert under immutable DePa labels - and unguarded twins keep
-// racing.
-TEST(ReachMatrixLocks, LockTwinsAgreeUnderSelectedBackend) {
+// Lock-kernel twins (test_locks.cpp's matrix) re-run in every mode:
+// mutex-guarded twins stay silent - equal-label segment splits must remain
+// inert under immutable DePa labels - and unguarded twins keep racing.
+TEST(ReachMatrixLocks, LockTwinsAgree) {
   for (const char* kernel : {"lktwin", "lkcache"}) {
     for (const bool seeded : {false, true}) {
       for (const Mode mode : all_modes()) {
@@ -541,14 +190,7 @@ TEST(ReachMatrixLocks, LockTwinsAgreeUnderSelectedBackend) {
         k->prepare();
         const MatrixRun r = run_mode(mode, [&] { k->run(); });
         EXPECT_EQ(r.any_race, seeded)
-            << kernel << " seeded=" << seeded << " under " << mode_name(mode)
-            << " backend " << reach::Engine::kName;
-        if (r.dropped == 0) {
-          Digest::line(std::string("locks/") + kernel +
-                           (seeded ? "/unguarded/" : "/guarded/") +
-                           mode_name(mode),
-                       r.distinct, r.records);
-        }
+            << kernel << " seeded=" << seeded << " under " << mode_name(mode);
       }
     }
   }
