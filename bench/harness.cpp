@@ -94,8 +94,6 @@ std::vector<std::pair<std::string, std::uint64_t>> stats_kv(
       {"fastpath_accesses", s.fastpath_accesses},
       {"fastpath_hits", s.fastpath_hits},
       {"slowpath_accesses", s.slowpath_accesses},
-      {"memo_queries", s.memo_queries},
-      {"memo_hits", s.memo_hits},
       {"tail_probe_hits", s.tail_probe_hits},
       {"tail_probe_misses", s.tail_probe_misses},
       {"empty_strand_skips", s.empty_strand_skips},

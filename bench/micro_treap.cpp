@@ -15,6 +15,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -302,6 +303,10 @@ int run_bulk_bench(const std::string& json_path) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_treap_bulk\",\n");
+  // Host stamp: perfgate refuses to compare snapshots from hosts with a
+  // different hardware-thread count.
+  std::fprintf(f, "  \"hw_threads\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"runs\": %zu, \"run_len\": %zu, \"interval_bytes\": %llu,\n",
                kRuns, kRunLen, (unsigned long long)kLen);
   std::fprintf(f, "  \"speedup_bar\": %.2f,\n  \"rows\": [\n", kSpeedupBar);

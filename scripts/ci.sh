@@ -13,7 +13,7 @@
 #                            # validation, then a -DPINT_TELEMETRY=OFF build
 #                            # proving the zero-cost path still compiles
 #   scripts/ci.sh perf       # perf smoke: micro_access (fails below the 3x
-#                            # fast-path bar or with a dead memo cache),
+#                            # fast-path bar or the sort cursor-rate bar),
 #                            # emits BENCH_access.json; micro_treap
 #                            # --bulk-json (fails below the 2x bulk-run
 #                            # bar), emits BENCH_treap.json; plus a tiny
@@ -31,7 +31,7 @@
 #                            # benches and the fig3 sweep, and fails on a
 #                            # geomean regression vs the committed
 #                            # BENCH_*.json beyond its tolerance, any
-#                            # enforced treap row under its bar, or a fig3
+#                            # enforced treap row under its bar, or a
 #                            # snapshot from a host with a different
 #                            # hardware-thread count (scripts/perfgate.py
 #                            # via ctest -L perfgate)
@@ -138,8 +138,8 @@ run_lane() {
       echo "=== lane: perf (build dir: build) ==="
       build_dir build ""
       # micro_access enforces the access-path acceptance bars itself: exits
-      # non-zero if the cursor fast path is under 3x the slow route or no
-      # kernel shows memo-cache hits.  The JSON it emits is the committed
+      # non-zero if the cursor fast path is under 3x the slow route or sort's
+      # cursor hit rate is at or below 0.5.  The JSON it emits is the committed
       # BENCH_access.json (ns/access, hit rates, geo-mean overhead).
       ./build/bench/micro_access --json BENCH_access.json
       python3 -m json.tool BENCH_access.json > /dev/null

@@ -25,14 +25,16 @@ compares them against the committed BENCH_access.json / BENCH_treap.json
     this is the key that keeps the next PR from quietly reintroducing the
     reachability scaling cliff.  The fresh fig3 run is replayed at the
     committed snapshot's scale and kernel list so the comparison is
-    apples-to-apples, and a hardware-thread-count mismatch between the
-    snapshots is a hard "rebaseline required" failure (efficiencies taken
-    on hosts with different core counts are not comparable).
+    apples-to-apples;
+  * any of the three committed snapshots (access, treap, fig3) was taken on
+    a host with a different hardware-thread count than the fresh run, or
+    lacks the "hw_threads" stamp: a hard "rebaseline required" failure for
+    that key, since timings from different hosts are not comparable.
 
-The in-binary acceptance bars (cursor >= 3x, sort cursor rate > 0.5, heat
-memo rate > 0.5, enforced treap rows >= bar on their own fresh numbers)
-already make the benches themselves exit non-zero; this script adds only
-the against-the-committed-baseline comparison.
+The in-binary acceptance bars (cursor >= 3x, sort cursor rate > 0.5,
+enforced treap rows >= bar on their own fresh numbers) already make the
+benches themselves exit non-zero; this script adds only the
+against-the-committed-baseline comparison.
 
 Usage:
   scripts/perfgate.py --bench-dir build/bench             # run benches
@@ -58,7 +60,22 @@ def geomean_key(baseline, fresh):
     return "geomean_overhead_3kernel"
 
 
+def host_mismatch(name, baseline, fresh):
+    """A hard "rebaseline required" failure when the committed snapshot was
+    taken on a host with a different hardware-thread count (or carries no
+    stamp), else None."""
+    if baseline.get("hw_threads") == fresh.get("hw_threads"):
+        return None
+    return (f"FAIL {name} rebaseline required: the committed {name} "
+            f"snapshot was taken on {baseline.get('hw_threads')} hardware "
+            f"thread(s), this host has {fresh.get('hw_threads')} "
+            f"(re-commit it from this host)")
+
+
 def gate_access(baseline, fresh, tolerance, kernel_tolerance):
+    mismatch = host_mismatch("access", baseline, fresh)
+    if mismatch:
+        return [mismatch]
     key = geomean_key(baseline, fresh)
     base, cur = baseline[key], fresh[key]
     ratio = cur / base if base > 0 else float("inf")
@@ -90,6 +107,9 @@ def gate_access(baseline, fresh, tolerance, kernel_tolerance):
 
 
 def gate_treap(baseline, fresh):
+    mismatch = host_mismatch("treap", baseline, fresh)
+    if mismatch:
+        return [mismatch]
     bar = baseline.get("speedup_bar", 2.0)
     fresh_rows = {r["name"]: r for r in fresh["rows"]}
     failures = []
@@ -119,11 +139,9 @@ def gate_fig3(baseline, fresh, scaling_tolerance):
     reachability cliff reintroduction shows (DESIGN.md section 14.4)."""
     kernel_floor = 0.25
     failures = []
-    if baseline.get("hw_threads") != fresh.get("hw_threads"):
-        return [f"FAIL fig3 rebaseline required: committed BENCH_fig3.json "
-                f"was taken on {baseline.get('hw_threads')} hardware "
-                f"thread(s), this host has {fresh.get('hw_threads')} "
-                f"(re-commit BENCH_fig3.json from this host)"]
+    mismatch = host_mismatch("fig3", baseline, fresh)
+    if mismatch:
+        return [mismatch]
     fresh_rows = {k["name"]: k for k in fresh.get("kernels", [])}
     log_sum, n = 0.0, 0
     for row in baseline.get("kernels", []):

@@ -63,18 +63,16 @@ inline treap::Accessor accessor_of(const Strand& s) {
 /// Overlap callback shared by every checking path: report a race when a
 /// prior accessor of the overlapped segment is parallel to `me` and the two
 /// segments held no common lock (epoch×lockset filtering, DESIGN.md §12).
-/// `me` is captured by value; engine/reporter/stats by reference.  `memo`
-/// (optional) is the calling history worker's private precedes() cache.
+/// `me` is captured by value; engine/reporter/stats by reference.
 inline auto make_conflict_cb(treap::Accessor me, bool prev_write,
                              bool cur_write, reach::DePaEngine& reach,
-                             RaceReporter& rep, Stats& stats,
-                             reach::DePaMemo* memo = nullptr) {
-  return [me, prev_write, cur_write, &reach, &rep, &stats, memo](
+                             RaceReporter& rep, Stats& stats) {
+  return [me, prev_write, cur_write, &reach, &rep, &stats](
              addr_t lo, addr_t hi, const treap::Accessor& prev) {
     if (prev.sid == me.sid) return;  // a strand cannot race with itself
     if (locksets_share(prev.lsid, me.lsid)) return;  // common mutex held
     stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
-    if (reach.parallel(prev.label, me.label, memo)) {
+    if (reach.parallel(prev.label, me.label)) {
       rep.report(prev.sid, prev_write, me.sid, cur_write, lo, hi, prev.tag,
                  me.tag);
     }
@@ -85,17 +83,15 @@ inline auto make_conflict_cb(treap::Accessor me, bool prev_write,
 /// it is in series after the stored one, or is the side's extreme among
 /// parallel readers (stored readers are never DAG-successors of `me` thanks
 /// to DAG-conforming processing).  One Relation answers series-ness AND the
-/// left/right tiebreak (left_of(me, prev) is the negated English bit), so
-/// the memo pays off even on the resolver path.
+/// left/right tiebreak (left_of(me, prev) is the negated English bit).
 inline auto make_reader_resolver(treap::Accessor me, reach::DePaEngine& reach,
-                                 Stats& stats, ReaderSide side,
-                                 reach::DePaMemo* memo = nullptr) {
-  return [me, &reach, &stats, side, memo](const treap::Accessor& prev,
-                                          const treap::Accessor& cur) {
+                                 Stats& stats, ReaderSide side) {
+  return [me, &reach, &stats, side](const treap::Accessor& prev,
+                                    const treap::Accessor& cur) {
     (void)cur;
     if (prev.sid == me.sid) return false;
     stats.reach_queries.fetch_add(1, std::memory_order_relaxed);
-    const reach::Relation r = reach.relation(prev.label, me.label, memo);
+    const reach::Relation r = reach.relation(prev.label, me.label);
     if (r.eng && r.heb) return true;  // prev ~> me
     switch (side) {
       case ReaderSide::kLeftMost:
@@ -116,19 +112,18 @@ inline auto make_reader_resolver(treap::Accessor me, reach::DePaEngine& reach,
 template <class History>
 inline void process_writer_treap(History& t, const Strand& s,
                                  reach::DePaEngine& reach, RaceReporter& rep,
-                                 Stats& stats,
-                                 reach::DePaMemo* memo = nullptr) {
+                                 Stats& stats) {
   const treap::Accessor me = accessor_of(s);
   const bool bulk = bulk_apply();
   const auto& reads = s.reads.items();
   if (bulk && s.reads.canonical() && !reads.empty()) {
     note_bulk_run(stats, reads.size());
     t.query_run(reads.data(), reads.size(),
-                make_conflict_cb(me, true, false, reach, rep, stats, memo));
+                make_conflict_cb(me, true, false, reach, rep, stats));
   } else {
     for (const Interval& r : reads) {
       t.query(r.lo, r.hi,
-              make_conflict_cb(me, true, false, reach, rep, stats, memo));
+              make_conflict_cb(me, true, false, reach, rep, stats));
     }
   }
   const auto& writes = s.writes.items();
@@ -136,12 +131,12 @@ inline void process_writer_treap(History& t, const Strand& s,
     note_bulk_run(stats, writes.size());
     t.insert_writer_run(
         writes.data(), writes.size(), me,
-        make_conflict_cb(me, true, true, reach, rep, stats, memo));
+        make_conflict_cb(me, true, true, reach, rep, stats));
   } else {
     for (const Interval& w : writes) {
       t.insert_writer(
           w.lo, w.hi, me,
-          make_conflict_cb(me, true, true, reach, rep, stats, memo));
+          make_conflict_cb(me, true, true, reach, rep, stats));
     }
   }
   for (const Interval& c : s.clears) t.erase_range(c.lo, c.hi);
@@ -153,22 +148,21 @@ inline void process_writer_treap(History& t, const Strand& s,
 template <class History>
 inline void process_reader_treap(History& t, const Strand& s,
                                  reach::DePaEngine& reach, RaceReporter& rep,
-                                 Stats& stats, ReaderSide side,
-                                 reach::DePaMemo* memo = nullptr) {
+                                 Stats& stats, ReaderSide side) {
   const treap::Accessor me = accessor_of(s);
   const bool bulk = bulk_apply();
   const auto& writes = s.writes.items();
   if (bulk && s.writes.canonical() && !writes.empty()) {
     note_bulk_run(stats, writes.size());
     t.query_run(writes.data(), writes.size(),
-                make_conflict_cb(me, false, true, reach, rep, stats, memo));
+                make_conflict_cb(me, false, true, reach, rep, stats));
   } else {
     for (const Interval& w : writes) {
       t.query(w.lo, w.hi,
-              make_conflict_cb(me, false, true, reach, rep, stats, memo));
+              make_conflict_cb(me, false, true, reach, rep, stats));
     }
   }
-  const auto resolve = make_reader_resolver(me, reach, stats, side, memo);
+  const auto resolve = make_reader_resolver(me, reach, stats, side);
   const auto& reads = s.reads.items();
   if (bulk && s.reads.canonical() && !reads.empty()) {
     note_bulk_run(stats, reads.size());

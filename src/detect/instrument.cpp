@@ -65,11 +65,8 @@ static_assert(sizeof(BlockHeader) <= kHeaderBytes);
 // ablation: either way every access falls into the miss path, which sorts
 // out which of the two it was.
 struct alignas(64) AccessCursor {
-  // kPend + the open interval = AccessBuffer::kTails interleaved streams
-  // (the base ring); kWidePend is the widened ring the adaptive policy can
-  // grant a site whose strided miss traffic overflows the base ring.
+  // kPend + the open interval = AccessBuffer::kTails interleaved streams.
   static constexpr unsigned kPend = detect::AccessBuffer::kTails - 1;
-  static constexpr unsigned kWidePend = 12;
 
   // --- hot line: open interval + raw counters, indexed by `write` ---
   detect::addr_t lo[2] = {1, 1};
@@ -77,11 +74,9 @@ struct alignas(64) AccessCursor {
   std::uint64_t raw[2] = {0, 0};
 
   // --- miss-path state ---
-  std::uint64_t spilled = 0;   // per-access buffer touches; hits = raw - spilled
-  std::uint64_t bypassed = 0;  // subset of spilled routed by bypass sites
-  std::uint64_t switches = 0;  // per-site policy transitions since install
+  std::uint64_t spilled = 0;  // per-access buffer touches; hits = raw - spilled
   detect::AccessBuffer* out[2] = {nullptr, nullptr};
-  detect::Interval pend[2][kWidePend] = {};
+  detect::Interval pend[2][kPend] = {};
   unsigned npend[2] = {0, 0};
   bool coalesce = true;
   bool installed = false;
@@ -98,126 +93,6 @@ struct alignas(64) AccessCursor {
 };
 
 thread_local AccessCursor t_cursor;
-
-// ---------------------------------------------------------------------------
-// Per-call-site adaptive policy (DESIGN.md §11)
-// ---------------------------------------------------------------------------
-//
-// Keyed by the kernel-side call site of record_read/record_write (the
-// return address of the noinline entry point - the inline wrappers melt
-// into the kernel, so this is a stable per-instruction key).  All state is
-// thread-local and touched only on the MISS path; the hit path is exactly
-// the PR 4 predicate.  A site's stride predictor and windowed spill rate
-// drive a three-mode machine:
-//
-//   INLINE --(spill-heavy window, strided)--> WIDE
-//   INLINE --(spill-heavy window, irregular)--> BYPASS
-//   WIDE   --(spill-heavy window)--> BYPASS     (widening didn't help)
-//   WIDE   --(spill-light window)--> INLINE     (de-escalate)
-//   BYPASS --(lease expires)--> INLINE          (probation retry)
-//
-// Mode changes where misses are routed, never what is recorded: every
-// route lands in the strand's AccessBuffer before the seal, and finalize()
-// canonicalizes - so verdicts are policy-invariant by construction.
-enum : std::uint8_t { kModeInline = 0, kModeWide = 1, kModeBypass = 2 };
-
-constexpr std::uint64_t kRawWindow = 4096;   // raw accesses per decision
-constexpr std::uint16_t kStridedStreak = 8;  // "regular" stride threshold
-constexpr std::uint32_t kBypassLease = 4096;  // miss events before probation
-
-struct SiteState {
-  const void* site = nullptr;
-  std::uint8_t mode = kModeInline;
-  std::uint16_t events = 0;  // demote-stage miss events in the window
-  std::uint16_t spills = 0;  // of which spilled to the AccessBuffer
-  std::uint16_t streak = 0;  // consecutive equal non-zero strides
-  std::uint32_t lease = 0;   // remaining bypass-mode miss events
-  detect::addr_t last_lo = 0;
-  std::int64_t stride = 0;
-  std::uint64_t raw_mark = 0;  // cursor raw total at window start
-};
-
-constexpr std::size_t kSiteSlots = 64;
-struct SiteTable {
-  SiteState s[kSiteSlots];
-};
-thread_local SiteTable t_sites;
-
-std::atomic<detect::CursorPolicy> g_policy{detect::CursorPolicy::kAdaptive};
-
-SiteState* site_state(const void* site) {
-  const auto x = std::uint64_t(reinterpret_cast<std::uintptr_t>(site));
-  SiteState& st =
-      t_sites.s[std::size_t((x >> 2) * 0x9e3779b97f4a7c15ULL >> 32) &
-                (kSiteSlots - 1)];
-  if (PINT_UNLIKELY(st.site != site)) {
-    st = SiteState{};  // direct-mapped: a colliding site steals the slot
-    st.site = site;
-  }
-  return &st;
-}
-
-// Advances the site's predictor by one miss event and returns the mode to
-// use for it.  Window decisions run on the *completed* window before the
-// event is counted.
-std::uint8_t site_advance(SiteState* st, AccessCursor& c, detect::addr_t lo) {
-  if (st->mode == kModeBypass) {
-    if (st->lease == 0 || --st->lease == 0) {
-      st->mode = kModeInline;  // probation: re-try the ring
-      st->events = st->spills = st->streak = 0;
-      ++c.switches;
-    }
-    return st->mode;
-  }
-  const auto stride = std::int64_t(lo - st->last_lo);
-  st->last_lo = lo;
-  if (stride == st->stride && stride != 0) {
-    if (st->streak < 0xffff) ++st->streak;
-  } else {
-    st->stride = stride;
-    st->streak = 1;
-  }
-  const std::uint64_t raw_now = c.raw[0] + c.raw[1];
-  if (st->events == 0) st->raw_mark = raw_now;
-  // Decision windows span kRawWindow RAW accesses, not N miss events: a
-  // window keyed on miss events oversamples bursts (mmul's spills cluster
-  // at tile boundaries, so 64 demote events can arrive within a few hundred
-  // accesses and look "heavy" while the overall spill rate is ~4%).  Only
-  // when spills are a sizable fraction of all traffic over a full window is
-  // the cursor demonstrably not absorbing.  raw is cursor-wide (the hit
-  // path is siteless by design), so a busy well-absorbed neighbor site can
-  // mask a bad one - acceptable: then the bad site's spills are a small
-  // share of traffic anyway.  The raw counters reset at cursor_install, so
-  // a window spanning strands can see raw_now < raw_mark; the unsigned wrap
-  // makes the delta huge and the verdict "very light", a conservative
-  // de-escalation.
-  const std::uint64_t raw_delta = raw_now - st->raw_mark;
-  if (raw_delta >= kRawWindow) {
-    const bool heavy = std::uint64_t(st->spills) * 8 >= raw_delta;
-    // De-escalation hysteresis: WIDE drops back to INLINE only when spills
-    // are near-absent, else a wide ring that is merely coping would flip
-    // back, re-create the heaviness, and oscillate.
-    const bool vlight = std::uint64_t(st->spills) * 64 <= raw_delta;
-    if (st->mode == kModeInline && heavy) {
-      st->mode = st->streak >= kStridedStreak ? kModeWide : kModeBypass;
-      if (st->mode == kModeBypass) st->lease = kBypassLease;
-      ++c.switches;
-    } else if (st->mode == kModeWide) {
-      if (heavy) {
-        st->mode = kModeBypass;
-        st->lease = kBypassLease;
-        ++c.switches;
-      } else if (vlight) {
-        st->mode = kModeInline;
-        ++c.switches;
-      }
-    }
-    st->events = st->spills = 0;
-    st->raw_mark = raw_now;
-  }
-  ++st->events;
-  return st->mode;
-}
 
 void flush_lane(AccessCursor& c, int lane) {
   if (c.out[lane] == nullptr) return;
@@ -237,13 +112,11 @@ void flush_lane(AccessCursor& c, int lane) {
 
 // The cursor miss path: uninstalled dispatch and the ablation mode first
 // (both were folded into the hit predicate via the never-match sentinel),
-// then the per-site policy decision, then the pending streams, then demote
-// the open interval (spilling the oldest pending entries past the mode's
-// ring capacity) and open a fresh interval for this access.  `site` is the
-// kernel-side call site (return address of the noinline entry point).
+// then demote the open interval into the pending ring (spilling the oldest
+// pending entry once the ring is full) and open a fresh interval for this
+// access.
 PINT_NOINLINE void cursor_record_miss(AccessCursor& c, detect::addr_t lo,
-                                      detect::addr_t hi, bool write,
-                                      const void* site) {
+                                      detect::addr_t hi, bool write) {
   if (PINT_UNLIKELY(!c.installed)) {
     detail::record_access_slow(reinterpret_cast<const void*>(lo),
                                hi - lo + 1, write);
@@ -254,38 +127,15 @@ PINT_NOINLINE void cursor_record_miss(AccessCursor& c, detect::addr_t lo,
     ++c.spilled;
     return;
   }
-  // The pending-ring probe lives inline in record_lane now (two-stream
-  // kernels ping-pong between the open interval and the ring every other
-  // access; paying an out-of-line call for each absorbed bounce dominated
-  // chol/mmul).  Reaching here means a genuinely new interval, so the site
-  // state's `events` counts exactly the demote-stage misses, as before.
-  const detect::CursorPolicy forced = g_policy.load(std::memory_order_relaxed);
-  SiteState* st = nullptr;
-  std::uint8_t mode;
-  if (PINT_LIKELY(forced == detect::CursorPolicy::kAdaptive)) {
-    st = site_state(site);
-    mode = site_advance(st, c, lo);
-  } else {
-    mode = forced == detect::CursorPolicy::kWide     ? kModeWide
-           : forced == detect::CursorPolicy::kBypass ? kModeBypass
-                                                     : kModeInline;
-  }
-  if (mode == kModeBypass) {
-    // Straight to the strand buffer: no predictor upkeep is charged to a
-    // site whose traffic the cursor demonstrably cannot absorb.
-    c.out[write]->add(lo, hi);
-    ++c.spilled;
-    ++c.bypassed;
-    return;
-  }
+  // The pending-ring probe lives inline in record_lane (two-stream kernels
+  // ping-pong between the open interval and the ring every other access;
+  // paying an out-of-line call for each absorbed bounce dominated
+  // chol/mmul).  Reaching here means a genuinely new interval.
   if (!c.open_empty(write)) {
-    const unsigned limit =
-        mode == kModeWide ? AccessCursor::kWidePend : AccessCursor::kPend;
-    while (c.npend[write] >= limit) {
+    if (c.npend[write] == AccessCursor::kPend) {
       c.out[write]->add(c.pend[write][0].lo, c.pend[write][0].hi);
       ++c.spilled;
-      if (st) ++st->spills;
-      for (unsigned i = 1; i < c.npend[write]; ++i) {
+      for (unsigned i = 1; i < AccessCursor::kPend; ++i) {
         c.pend[write][i - 1] = c.pend[write][i];
       }
       --c.npend[write];
@@ -321,7 +171,7 @@ PINT_NOINLINE void record_access_slow(const void* p, std::size_t bytes,
 // displacement (no lane indexing in the emitted code).  Callers guarantee
 // bytes > 0 (the inline wrappers hoist that check).
 template <int kLane>
-inline void record_lane(const void* p, std::size_t bytes, const void* site) {
+inline void record_lane(const void* p, std::size_t bytes) {
   AccessCursor& c = t_cursor;
   const detect::addr_t lo = detect::addr_of(p);
   const detect::addr_t hi = lo + bytes - 1;
@@ -342,33 +192,16 @@ inline void record_lane(const void* p, std::size_t bytes, const void* site) {
       return;
     }
   }
-  cursor_record_miss(c, lo, hi, kLane != 0, site);
+  cursor_record_miss(c, lo, hi, kLane != 0);
 }
 
 // noinline: re-derive the thread-local cursor on every call, for the same
-// fiber-migration reason as rt::current_worker().  The return address is
-// the adaptive policy's call-site key: the inline wrappers melt into the
-// kernel, so it names the kernel-side instrumentation point.  It is only
-// materialized on the miss path (the argument is evaluated at the call,
-// which sits inside the miss branch).
-#if defined(__GNUC__) || defined(__clang__)
-#define PINT_CALL_SITE() __builtin_return_address(0)
-#else
-#define PINT_CALL_SITE() nullptr
-#endif
+// fiber-migration reason as rt::current_worker().
 PINT_NOINLINE void record_access_read(const void* p, std::size_t bytes) {
-  record_lane<0>(p, bytes, PINT_CALL_SITE());
+  record_lane<0>(p, bytes);
 }
 PINT_NOINLINE void record_access_write(const void* p, std::size_t bytes) {
-  record_lane<1>(p, bytes, PINT_CALL_SITE());
-}
-PINT_NOINLINE void record_access(const void* p, std::size_t bytes,
-                                 bool write) {
-  if (write) {
-    record_lane<1>(p, bytes, PINT_CALL_SITE());
-  } else {
-    record_lane<0>(p, bytes, PINT_CALL_SITE());
-  }
+  record_lane<1>(p, bytes);
 }
 
 }  // namespace detail
@@ -406,7 +239,7 @@ PINT_NOINLINE void cursor_install(AccessBuffer* reads, AccessBuffer* writes,
     c.npend[lane] = 0;
   }
   c.raw[0] = c.raw[1] = 0;
-  c.spilled = c.bypassed = c.switches = 0;
+  c.spilled = 0;
   c.coalesce = coalesce;
   c.installed = true;
 }
@@ -418,41 +251,21 @@ PINT_NOINLINE CursorFlush cursor_invalidate() {
   out.raw_reads = c.raw[0];
   out.raw_writes = c.raw[1];
   // A hit is an access absorbed in cursor storage: everything except the
-  // per-access spills (ring overflow, bypass routing, ablation add_raw).
-  // The end-of-strand drain below is a bounded hand-off, not a miss.  A
-  // capacity shrink can spill several ring entries for one access, so the
-  // difference is clamped.
+  // per-access spills (ring overflow, ablation add_raw).  The end-of-strand
+  // drain below is a bounded hand-off, not a miss.  Each miss spills at
+  // most one entry, so spilled never exceeds raw.
   const std::uint64_t raw = c.raw[0] + c.raw[1];
-  out.hits = raw > c.spilled ? raw - c.spilled : 0;
+  out.hits = raw - c.spilled;
   out.spills = c.spilled;
-  out.bypassed = c.bypassed;
-  out.policy_switches = c.switches;
   flush_lane(c, 0);
   flush_lane(c, 1);
   c.raw[0] = c.raw[1] = 0;
-  c.spilled = c.bypassed = c.switches = 0;
+  c.spilled = 0;
   c.installed = false;
   return out;
 }
 
 PINT_NOINLINE void cursor_reset() { t_cursor = AccessCursor{}; }
-
-void set_cursor_policy(CursorPolicy p) {
-  g_policy.store(p, std::memory_order_seq_cst);
-}
-CursorPolicy cursor_policy() {
-  return g_policy.load(std::memory_order_relaxed);
-}
-const char* cursor_policy_name(CursorPolicy p) {
-  switch (p) {
-    case CursorPolicy::kAdaptive: return "adaptive";
-    case CursorPolicy::kInline: return "inline";
-    case CursorPolicy::kWide: return "wide";
-    case CursorPolicy::kBypass: return "bypass";
-  }
-  return "?";
-}
-PINT_NOINLINE void cursor_policy_reset() { t_sites = SiteTable{}; }
 
 PINT_NOINLINE bool cursor_installed() { return t_cursor.installed; }
 

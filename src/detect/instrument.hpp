@@ -39,12 +39,10 @@ extern std::atomic<bool> g_instrumentation_on;
 /// Dispatch: takes the AccessCursor fast path when one is installed on this
 /// thread, else falls through to the classic detector route.  noinline so
 /// the thread-local cursor is re-derived on every call (fiber migration).
-/// The per-lane entry points fold the read/write lane into the cursor's
-/// TLS displacement at compile time (the wrappers below always know the
-/// lane); the bool form dispatches for callers that don't.
+/// One entry point per lane folds the read/write lane into the cursor's
+/// TLS displacement at compile time.
 void record_access_read(const void* p, std::size_t bytes);
 void record_access_write(const void* p, std::size_t bytes);
-void record_access(const void* p, std::size_t bytes, bool write);
 /// The classic route (atomic detector load + worker lookup + virtual
 /// on_access).  Kept callable directly so benchmarks can measure the fast
 /// path against it; `set_access_fast_path(false)` forces every access here.
@@ -125,17 +123,14 @@ class AccessBuffer;
 /// counts recorded through the cursor since install, how many of them were
 /// absorbed in cursor storage (open interval + pending ring - no per-access
 /// AccessBuffer touch; the bounded end-of-strand drain is the normal
-/// hand-off, not a miss), and the adaptive-policy activity (spills = the
-/// per-access buffer touches that did happen, whether ring overflow or
-/// bypass; bypassed = the subset routed by a bypass-mode site; switches =
-/// per-site policy transitions taken while this strand ran).
+/// hand-off, not a miss), and the spills: the per-access buffer touches
+/// that did happen (pending-ring overflow, or every access in the
+/// coalesce-off ablation).
 struct CursorFlush {
   std::uint64_t raw_reads = 0;
   std::uint64_t raw_writes = 0;
   std::uint64_t hits = 0;
   std::uint64_t spills = 0;
-  std::uint64_t bypassed = 0;
-  std::uint64_t policy_switches = 0;
 };
 
 /// Installs this thread's AccessCursor over the given strand buffers.  Any
@@ -162,28 +157,6 @@ bool cursor_installed();
 /// Flip only at quiescence (no detection run in flight).
 void set_access_fast_path(bool on);
 bool access_fast_path();
-
-/// Cursor miss-path policy (DESIGN.md §11).  kAdaptive (the default) lets a
-/// per-call-site stride predictor pick between the three fixed modes; the
-/// fixed values force one mode at every site - ablation / bit-identity
-/// knobs, exactly like set_access_fast_path.  Any policy yields identical
-/// race reports: every route funnels into the same AccessBuffer, whose
-/// finalize() sort-merge is invariant under intermediate merge policy.
-/// Flip only at quiescence.
-enum class CursorPolicy : std::uint8_t {
-  kAdaptive = 0,  // per-site state machine (inline -> wide -> bypass)
-  kInline = 1,    // always the base pending ring (the PR 4 behavior)
-  kWide = 2,      // always the widened pending ring
-  kBypass = 3,    // every miss goes straight to AccessBuffer::add
-};
-void set_cursor_policy(CursorPolicy p);
-CursorPolicy cursor_policy();
-const char* cursor_policy_name(CursorPolicy p);
-
-/// Clears the calling thread's per-site policy table (tests: deterministic
-/// counter runs).  Worker threads' tables are untouched; policy state never
-/// affects verdicts, only where misses are routed.
-void cursor_policy_reset();
 
 }  // namespace detect
 

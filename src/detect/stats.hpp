@@ -16,26 +16,18 @@ struct Stats {
   std::atomic<std::uint64_t> read_intervals{0};
   std::atomic<std::uint64_t> write_intervals{0};
 
-  // Hot-path effectiveness (DESIGN.md §9/§11).  fastpath_accesses counts
+  // Hot-path effectiveness (DESIGN.md §9).  fastpath_accesses counts
   // raw accesses recorded through the thread-local AccessCursor;
   // fastpath_hits the subset absorbed in cursor storage (open interval +
   // pending ring - no per-access AccessBuffer touch; the bounded
   // end-of-strand drain is the hand-off, not a miss); cursor_spills the
-  // complement (ring overflow / bypass / ablation add_raw events);
+  // complement (ring overflow / ablation add_raw events);
   // slowpath_accesses those that took the classic detector-load +
-  // virtual-dispatch route.  policy_switches / policy_bypass expose the
-  // per-call-site adaptive policy: mode transitions taken and accesses
-  // routed by bypass-mode sites.  memo_queries/memo_hits are the history
-  // workers' DePaMemo totals: label-pair relation() lookups and the subset
-  // served from a cached verdict.
+  // virtual-dispatch route.
   std::atomic<std::uint64_t> fastpath_accesses{0};
   std::atomic<std::uint64_t> fastpath_hits{0};
   std::atomic<std::uint64_t> cursor_spills{0};
-  std::atomic<std::uint64_t> policy_switches{0};
-  std::atomic<std::uint64_t> policy_bypass{0};
   std::atomic<std::uint64_t> slowpath_accesses{0};
-  std::atomic<std::uint64_t> memo_queries{0};
-  std::atomic<std::uint64_t> memo_hits{0};
 
   // AccessBuffer::add tail-probe fast path (DESIGN.md §13).  Every add()
   // probes the last kTails stored intervals for a stream to extend before
@@ -109,8 +101,7 @@ struct Stats {
   void clear() {
     raw_reads = raw_writes = read_intervals = write_intervals = 0;
     fastpath_accesses = fastpath_hits = slowpath_accesses = 0;
-    cursor_spills = policy_switches = policy_bypass = 0;
-    memo_queries = memo_hits = 0;
+    cursor_spills = 0;
     tail_probe_hits = tail_probe_misses = 0;
     arena_reuses = arena_fresh = empty_strand_skips = 0;
     finalize_sorted_skips = finalize_simd = 0;
@@ -126,8 +117,7 @@ struct Stats {
   struct Snapshot {
     std::uint64_t raw_reads, raw_writes, read_intervals, write_intervals;
     std::uint64_t fastpath_accesses, fastpath_hits, slowpath_accesses;
-    std::uint64_t cursor_spills, policy_switches, policy_bypass;
-    std::uint64_t memo_queries, memo_hits;
+    std::uint64_t cursor_spills;
     std::uint64_t tail_probe_hits, tail_probe_misses;
     std::uint64_t arena_reuses, arena_fresh, empty_strand_skips;
     std::uint64_t finalize_sorted_skips, finalize_simd;
@@ -137,6 +127,10 @@ struct Stats {
     std::uint64_t stalled_pushes, backoff_pauses, dropped_strands;
     std::uint64_t oom_events, watchdog_trips;
     std::uint64_t core_ns, writer_ns, lreader_ns, rreader_ns, total_ns;
+    // Always 0: nothing writes these.  Their only reader is
+    // perfbench/pint_bench.cpp (its per-layer reach.memo_hit_rate); drop
+    // them together with that metric.
+    std::uint64_t memo_queries = 0, memo_hits = 0;
     double coalesce_factor() const {
       const auto raw = raw_reads + raw_writes;
       const auto iv = read_intervals + write_intervals;
@@ -146,10 +140,6 @@ struct Stats {
       return fastpath_accesses == 0
                  ? 0.0
                  : double(fastpath_hits) / double(fastpath_accesses);
-    }
-    double memo_hit_rate() const {
-      return memo_queries == 0 ? 0.0
-                               : double(memo_hits) / double(memo_queries);
     }
     double avg_run_len() const {
       return bulk_runs == 0 ? 0.0
@@ -165,8 +155,6 @@ struct Stats {
             read_intervals.load(),    write_intervals.load(),
             fastpath_accesses.load(), fastpath_hits.load(),
             slowpath_accesses.load(), cursor_spills.load(),
-            policy_switches.load(),   policy_bypass.load(),
-            memo_queries.load(),      memo_hits.load(),
             tail_probe_hits.load(),   tail_probe_misses.load(),
             arena_reuses.load(),      arena_fresh.load(),
             empty_strand_skips.load(),

@@ -25,15 +25,6 @@ bool parse_bool(const std::string& v, bool* out) {
   return false;
 }
 
-bool parse_policy(const std::string& v, CursorPolicy* out) {
-  if (v == "adaptive") *out = CursorPolicy::kAdaptive;
-  else if (v == "inline") *out = CursorPolicy::kInline;
-  else if (v == "wide") *out = CursorPolicy::kWide;
-  else if (v == "bypass") *out = CursorPolicy::kBypass;
-  else return false;
-  return true;
-}
-
 void warn_once(const std::string& what) {
   static bool warned = false;
   if (warned) return;
@@ -48,7 +39,6 @@ Tuning Tuning::current() {
   Tuning t;
   t.bulk_apply = detect::bulk_apply();
   t.access_fast_path = detect::access_fast_path();
-  t.cursor_policy = detect::cursor_policy();
   t.arena = support::arena_recycle();
   t.simd = detect::simd_merge();
   return t;
@@ -71,8 +61,6 @@ Tuning Tuning::parse(const char* spec, Tuning base) {
     bool ok = false;
     if (key == "bulk") ok = parse_bool(val, &base.bulk_apply);
     else if (key == "fastpath") ok = parse_bool(val, &base.access_fast_path);
-    else if (key == "cursor") ok = parse_policy(val, &base.cursor_policy);
-    else if (key == "memo") ok = parse_bool(val, &base.memo);
     else if (key == "locks") ok = parse_bool(val, &base.lock_edges);
     else if (key == "arena") ok = parse_bool(val, &base.arena);
     else if (key == "simd") ok = parse_bool(val, &base.simd);
@@ -91,7 +79,6 @@ Tuning Tuning::from_env() {
 void Tuning::apply_globals() const {
   set_bulk_apply(bulk_apply);
   set_access_fast_path(access_fast_path);
-  set_cursor_policy(cursor_policy);
   support::set_arena_recycle(arena);
   set_simd_merge(simd);
 }

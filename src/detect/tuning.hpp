@@ -2,9 +2,9 @@
 
 // One struct for every cross-cutting detector knob (DESIGN.md §12.5).
 //
-// The bulk-apply, access-fast-path and cursor-policy toggles are process
-// globals (they live next to the thread-local cursor machinery); the memo
-// and lock-edge toggles are per-detector.  Tuning gathers all of them so
+// The bulk-apply, access-fast-path, arena and SIMD toggles are process
+// globals (they live next to the machinery they switch); the lock-edge
+// toggle is per-detector.  Tuning gathers all of them so
 // callers set knobs in ONE place - `options.tuning.bulk_apply = false` -
 // instead of hunting for per-subsystem setters, and so the environment
 // override (PINT_TUNING=...) is parsed in one place instead of three.
@@ -25,11 +25,6 @@ struct Tuning {
   bool bulk_apply = true;
   /// Thread-local AccessCursor fast path (DESIGN.md §9).  Global knob.
   bool access_fast_path = true;
-  /// Cursor miss-path policy (DESIGN.md §11).  Global knob.
-  CursorPolicy cursor_policy = CursorPolicy::kAdaptive;
-  /// Per-lane relation() memo caches (DESIGN.md §11.2).  Per-detector: off
-  /// means the detector passes null memos, the bit-identity ablation.
-  bool memo = true;
   /// Lock-aware detection (DESIGN.md §12): handle the lock hooks and filter
   /// conflicts whose segments share a mutex.  Per-detector: off ignores
   /// lock events entirely (records keep lsid 0, the pre-lock behavior).
@@ -48,15 +43,15 @@ struct Tuning {
   static Tuning current();
 
   /// current() overlaid with the PINT_TUNING environment variable, e.g.
-  ///   PINT_TUNING=bulk=off,cursor=wide,memo=on,locks=off,arena=off,simd=off
+  ///   PINT_TUNING=bulk=off,fastpath=on,locks=off,arena=off,simd=off
   /// Unknown keys/values warn once on stderr and are ignored.
   static Tuning from_env();
 
-  /// Overlay a spec string ("bulk=off,cursor=adaptive,...") onto `base`.
+  /// Overlay a spec string ("bulk=off,locks=on,...") onto `base`.
   static Tuning parse(const char* spec, Tuning base);
 
-  /// Push the global knobs (bulk_apply / access_fast_path / cursor_policy /
-  /// arena / simd) into their process globals.  Call only at quiescence.
+  /// Push the global knobs (bulk_apply / access_fast_path / arena / simd)
+  /// into their process globals.  Call only at quiescence.
   void apply_globals() const;
 
   bool operator==(const Tuning&) const = default;

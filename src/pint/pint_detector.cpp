@@ -395,8 +395,6 @@ void PintDetector::cursor_flush(CoreWS& ws) {
   ws.fast_accesses += fl.raw_reads + fl.raw_writes;
   ws.fast_hits += fl.hits;
   ws.cursor_spills += fl.spills;
-  ws.policy_switches += fl.policy_switches;
-  ws.policy_bypass += fl.bypassed;
 }
 
 // ---------------------------------------------------------------------------
@@ -736,11 +734,9 @@ void PintDetector::process_writer(Strand* s) {
       // all three stores. Deferred resources are still released here (the
       // queue-order argument of paper SIII-F is unchanged).
     } else if (opt_.history == detect::HistoryKind::kTreap) {
-      detect::process_writer_treap(writer_treap_, *s, reach_, rep_, stats_,
-                                   opt_.tuning.memo ? &memo_writer_ : nullptr);
+      detect::process_writer_treap(writer_treap_, *s, reach_, rep_, stats_);
     } else {
-      detect::process_writer_treap(writer_map_, *s, reach_, rep_, stats_,
-                                   opt_.tuning.memo ? &memo_writer_ : nullptr);
+      detect::process_writer_treap(writer_map_, *s, reach_, rep_, stats_);
     }
     // Deferred frees become real here: any later reuse of this memory is by
     // a strand collected after s, so each treap erases the range before
@@ -898,16 +894,6 @@ void PintDetector::reader_loop(ReaderSide side) {
   const bool use_treap = opt_.history == detect::HistoryKind::kTreap;
   StopwatchAccum& watch = left ? lreader_watch_ : rreader_watch_;
   ConsumerLane& lane = *lanes_[left ? 0 : 1];
-  // Phased one-core mode runs all three lanes on this one thread, so they
-  // can share the writer lane's memo: a strand pair already judged while
-  // walking the writer treap (strands that both wrote and read a region
-  // appear in all three stores) is served from cache here too.  Pipelined
-  // mode keeps one single-threaded cache per lane.
-  reach::DePaMemo* memo =
-      !opt_.tuning.memo
-          ? nullptr
-          : (seq_history_ ? &memo_writer_
-                          : (left ? &memo_lreader_ : &memo_rreader_));
   const bool pw = phase_watch_;
   consume_loop(lane, [&](Strand* s) {
     if (!pw) watch.start();
@@ -915,9 +901,9 @@ void PintDetector::reader_loop(ReaderSide side) {
       // Nested inside the watch (see process_writer): span sum ~= *_ns.
       telem::ScopedSpan span(span_name);
       if (use_treap) {
-        detect::process_reader_treap(t, *s, reach_, rep_, stats_, side, memo);
+        detect::process_reader_treap(t, *s, reach_, rep_, stats_, side);
       } else {
-        detect::process_reader_treap(m, *s, reach_, rep_, stats_, side, memo);
+        detect::process_reader_treap(m, *s, reach_, rep_, stats_, side);
       }
     }
     if (!pw) watch.stop();
@@ -938,7 +924,7 @@ void PintDetector::shard_loop(int shard) {
     if (!pw) hs.watch.start();
     {
       PINT_TSPAN("shard.strand");
-      hs.process(*s, shard, n, reach_, rep_, stats_, opt_.tuning.memo);
+      hs.process(*s, shard, n, reach_, rep_, stats_);
     }
     if (!pw) hs.watch.stop();
   });
@@ -1092,8 +1078,8 @@ void PintDetector::dump_progress(const char* stalled) {
 RunResult PintDetector::run(std::function<void()> fn) {
   PINT_CHECK_MSG(!used_, "PintDetector instances are single-use");
   used_ = true;
-  // Tuning snapshot -> process globals (access fast path, cursor policy,
-  // bulk apply); the per-detector knobs are read from opt_.tuning directly.
+  // Tuning snapshot -> process globals (access fast path, bulk apply,
+  // arena, SIMD); the per-detector knobs are read from opt_.tuning directly.
   opt_.tuning.apply_globals();
   RunResult result;
 
@@ -1236,8 +1222,6 @@ RunResult PintDetector::run(std::function<void()> fn) {
     stats_.fastpath_accesses.fetch_add(ws->fast_accesses);
     stats_.fastpath_hits.fetch_add(ws->fast_hits);
     stats_.cursor_spills.fetch_add(ws->cursor_spills);
-    stats_.policy_switches.fetch_add(ws->policy_switches);
-    stats_.policy_bypass.fetch_add(ws->policy_bypass);
     stats_.slowpath_accesses.fetch_add(ws->slow_accesses);
     stats_.tail_probe_hits.fetch_add(ws->tail_hits);
     stats_.tail_probe_misses.fetch_add(ws->tail_misses);
@@ -1249,18 +1233,6 @@ RunResult PintDetector::run(std::function<void()> fn) {
   const support::ArenaCounters arena_now = support::arena_counters();
   stats_.arena_reuses.fetch_add(arena_now.reuses - arena_at_start.reuses);
   stats_.arena_fresh.fetch_add(arena_now.fresh - arena_at_start.fresh);
-  // Memo-cache totals: all history threads are joined (quiescence), so the
-  // plain per-cache counters are safe to sum here.
-  std::uint64_t mq = memo_writer_.queries + memo_lreader_.queries +
-                     memo_rreader_.queries;
-  std::uint64_t mh =
-      memo_writer_.hits + memo_lreader_.hits + memo_rreader_.hits;
-  for (const auto& sh : shards_) {
-    mq += sh->memo.queries;
-    mh += sh->memo.hits;
-  }
-  stats_.memo_queries.fetch_add(mq);
-  stats_.memo_hits.fetch_add(mh);
   stats_.deep_backoffs.fetch_add(Backoff::deep_entries() -
                                  deep_backoffs_at_start);
   telem::count("history.bulk.runs",
@@ -1281,14 +1253,8 @@ RunResult PintDetector::run(std::function<void()> fn) {
                stats_.fastpath_hits.load(std::memory_order_relaxed));
   telem::count("access.fastpath.spills",
                stats_.cursor_spills.load(std::memory_order_relaxed));
-  telem::count("access.policy.switches",
-               stats_.policy_switches.load(std::memory_order_relaxed));
-  telem::count("access.policy.bypass",
-               stats_.policy_bypass.load(std::memory_order_relaxed));
   telem::count("access.slowpath.total",
                stats_.slowpath_accesses.load(std::memory_order_relaxed));
-  telem::count("reach.memo.queries", mq);
-  telem::count("reach.memo.hits", mh);
   telem::count("access.tail.hits",
                stats_.tail_probe_hits.load(std::memory_order_relaxed));
   telem::count("access.tail.misses",

@@ -63,9 +63,6 @@ struct HistoryShard {
   treap::IntervalTreap lreader;
   treap::IntervalTreap rreader;
   StopwatchAccum watch;
-  // precedes() memo - touched only by this shard's worker thread, like the
-  // treaps above.  Counters summed into Stats at run end (quiescence).
-  reach::DePaMemo memo;
 
   HistoryShard(std::uint64_t seed_w, std::uint64_t seed_l, std::uint64_t seed_r)
       : writer(seed_w), lreader(seed_l), rreader(seed_r) {}
@@ -83,25 +80,24 @@ struct HistoryShard {
   /// interleaving of the three stores' reports within a strand moves.
   void process(const detect::Strand& s, int shard, int nshards,
                reach::DePaEngine& reach, detect::RaceReporter& rep,
-               detect::Stats& stats, bool use_memo = true) {
+               detect::Stats& stats) {
     using detect::ReaderSide;
     const treap::Accessor me = detect::accessor_of(s);
     const bool bulk = detect::bulk_apply();
-    reach::DePaMemo* const mm = use_memo ? &memo : nullptr;
 
     if (bulk && s.reads.canonical()) {
       gather_pieces(s.reads.items(), shard, nshards);
       if (!run_buf_.empty()) {
         detect::note_bulk_run(stats, run_buf_.size());
-        writer.query_run(run_buf_.data(), run_buf_.size(),
-                         detect::make_conflict_cb(me, true, false, reach, rep,
-                                                  stats, mm));
+        writer.query_run(
+            run_buf_.data(), run_buf_.size(),
+            detect::make_conflict_cb(me, true, false, reach, rep, stats));
       }
     } else {
       for (const detect::Interval& r : s.reads.items()) {
         for_shard_pieces(r.lo, r.hi, shard, nshards, [&](auto lo, auto hi) {
-          writer.query(lo, hi, detect::make_conflict_cb(me, true, false, reach,
-                                                        rep, stats, mm));
+          writer.query(lo, hi, detect::make_conflict_cb(me, true, false,
+                                                        reach, rep, stats));
         });
       }
     }
@@ -109,33 +105,33 @@ struct HistoryShard {
       gather_pieces(s.writes.items(), shard, nshards);
       if (!run_buf_.empty()) {
         detect::note_bulk_run(stats, run_buf_.size() * 3);
-        lreader.query_run(run_buf_.data(), run_buf_.size(),
-                          detect::make_conflict_cb(me, false, true, reach, rep,
-                                                   stats, mm));
-        rreader.query_run(run_buf_.data(), run_buf_.size(),
-                          detect::make_conflict_cb(me, false, true, reach, rep,
-                                                   stats, mm));
-        writer.insert_writer_run(run_buf_.data(), run_buf_.size(), me,
-                                 detect::make_conflict_cb(me, true, true, reach,
-                                                          rep, stats, mm));
+        lreader.query_run(
+            run_buf_.data(), run_buf_.size(),
+            detect::make_conflict_cb(me, false, true, reach, rep, stats));
+        rreader.query_run(
+            run_buf_.data(), run_buf_.size(),
+            detect::make_conflict_cb(me, false, true, reach, rep, stats));
+        writer.insert_writer_run(
+            run_buf_.data(), run_buf_.size(), me,
+            detect::make_conflict_cb(me, true, true, reach, rep, stats));
       }
     } else {
       for (const detect::Interval& w : s.writes.items()) {
         for_shard_pieces(w.lo, w.hi, shard, nshards, [&](auto lo, auto hi) {
-          lreader.query(lo, hi, detect::make_conflict_cb(me, false, true, reach,
-                                                         rep, stats, mm));
-          rreader.query(lo, hi, detect::make_conflict_cb(me, false, true, reach,
-                                                         rep, stats, mm));
-          writer.insert_writer(lo, hi, me,
-                               detect::make_conflict_cb(me, true, true, reach,
-                                                        rep, stats, mm));
+          lreader.query(lo, hi, detect::make_conflict_cb(me, false, true,
+                                                         reach, rep, stats));
+          rreader.query(lo, hi, detect::make_conflict_cb(me, false, true,
+                                                         reach, rep, stats));
+          writer.insert_writer(
+              lo, hi, me,
+              detect::make_conflict_cb(me, true, true, reach, rep, stats));
         });
       }
     }
     const auto lresolve = detect::make_reader_resolver(
-        me, reach, stats, ReaderSide::kLeftMost, mm);
+        me, reach, stats, ReaderSide::kLeftMost);
     const auto rresolve = detect::make_reader_resolver(
-        me, reach, stats, ReaderSide::kRightMost, mm);
+        me, reach, stats, ReaderSide::kRightMost);
     if (bulk && s.reads.canonical()) {
       gather_pieces(s.reads.items(), shard, nshards);
       if (!run_buf_.empty()) {

@@ -80,8 +80,8 @@ inline const char* detector_kind_name(DetectorKind k) {
 /// detector that understands them and are ignored by the others.
 struct DetectorSpec {
   DetectorKind kind = DetectorKind::kPint;
-  /// Shared knobs, including detect::Tuning (bulk apply, cursor policy,
-  /// memo, lock edges) - see detect/run_result.hpp.
+  /// Shared knobs, including detect::Tuning (bulk apply, fast path, lock
+  /// edges, arena, SIMD) - see detect/run_result.hpp.
   detect::CommonOptions common;
   /// Program workers: PINT core workers / C-RACER workers.  STINT and the
   /// oracle are sequential by construction and ignore it.

@@ -40,10 +40,8 @@
 //     every 32 symbols of depth is the only cross-thread contact),
 //   * relation() is a pure word-compare over immutable memory - no seqlock
 //     windows, no retries, no fences - safe and wait-free from any lane,
-//     and safe concurrently with on_spawn on the core workers,
-//   * a cached pair verdict can never be invalidated, so the memo is keyed
-//     on label CONTENT (tail word + chunk pointer + bit length per side) and
-//     entries live forever.
+//     and safe concurrently with on_spawn on the core workers, and cheap
+//     enough that no verdict cache sits in front of it.
 //
 // Labels are immutable once published and outlive the strand records that
 // carry them (history treaps retain labels after strand recycling).
@@ -93,77 +91,6 @@ struct DePaLabel {
   bool valid() const { return live != 0; }
 };
 
-/// Pair-verdict memo for DePaEngine::relation().  One per history lane,
-/// strictly single-threaded and direct-mapped, keyed on label IDENTITY (the
-/// full 20-byte content of each side).  DePa labels are immutable and a
-/// given path has exactly one (frozen, tail, bits) representation, so a key
-/// match IS the verdict: entries never need invalidation and there is no
-/// validation read at all on a hit.
-class DePaMemo {
- public:
-  static constexpr std::size_t kSlots = std::size_t(1) << 14;  // 1 MiB
-
-  DePaMemo() : entries_(kSlots) {}
-
-  void clear() {
-    entries_.assign(kSlots, Entry{});
-    hits = queries = fills = 0;
-  }
-
-  /// Test-only: would the next relation(u, v) be served from the cache?
-  bool cached(const DePaLabel& u, const DePaLabel& v) const {
-    const Entry& e = entries_[slot_of(u, v)];
-    return e.used != 0 && key_matches(e, u, v);
-  }
-
-  std::uint64_t hits = 0;
-  std::uint64_t queries = 0;
-  std::uint64_t fills = 0;
-
- private:
-  friend class DePaEngine;
-  struct alignas(64) Entry {  // one cache line per probe
-    std::uint64_t utail = 0, vtail = 0;
-    const DePaPathChunk* ufrozen = nullptr;
-    const DePaPathChunk* vfrozen = nullptr;
-    std::uint32_t ubits = 0, vbits = 0;
-    std::uint32_t used = 0;  // the root label is all-zero, so key it explicitly
-    bool releng = false, relheb = false;
-  };
-
-  static bool key_matches(const Entry& e, const DePaLabel& u,
-                          const DePaLabel& v) {
-    return e.utail == u.tail && e.vtail == v.tail && e.ufrozen == u.frozen &&
-           e.vfrozen == v.frozen && e.ubits == u.bits && e.vbits == v.bits;
-  }
-
-  // Path tails are highly structured (low-entropy 2-bit symbol strings that
-  // share long prefixes), so the slot hash needs real avalanche - a plain
-  // multiply-xor left heat's hit rate ~0.10 below its compulsory ceiling
-  // from conflict evictions alone.  One murmur3 finalizer over a
-  // multiply-combined key restores it.
-  static std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 29;
-    x *= 0xc4ceb9fe1a85ec53ULL;
-    x ^= x >> 32;
-    return x;
-  }
-
-  static std::size_t slot_of(const DePaLabel& u, const DePaLabel& v) {
-    std::uint64_t h = u.tail * 0x9e3779b97f4a7c15ULL;
-    h += v.tail * 0xc2b2ae3d27d4eb4fULL;
-    h += (std::uint64_t(u.bits) << 32 | v.bits) * 0xd6e8feb86659fd93ULL;
-    h += std::uint64_t(reinterpret_cast<std::uintptr_t>(u.frozen)) >> 4;
-    h += (std::uint64_t(reinterpret_cast<std::uintptr_t>(v.frozen)) >> 4) *
-         0xa0761d6478bd642fULL;
-    return std::size_t(mix(h)) & (kSlots - 1);
-  }
-
-  std::vector<Entry> entries_;
-};
-
 /// The DePa (graph-encoded) happens-before engine.
 class DePaEngine {
  public:
@@ -203,23 +130,26 @@ class DePaEngine {
   }
 
   /// Both order verdicts for (u, v).  Wait-free: reads only the two labels'
-  /// immutable words.  The memo can change the cost, never the verdict, and
-  /// a null memo degrades to the direct word-compare.
-  Relation relation(const DePaLabel& u, const DePaLabel& v,
-                    DePaMemo* memo) const;
+  /// immutable words.
+  static Relation relation(const DePaLabel& u, const DePaLabel& v);
 
   /// u ~> v : is u in series with (an ancestor of) v?
-  bool precedes(const DePaLabel& u, const DePaLabel& v,
-                DePaMemo* memo = nullptr) const;
+  static bool precedes(const DePaLabel& u, const DePaLabel& v) {
+    const Relation r = relation(u, v);
+    return r.eng && r.heb;
+  }
 
   /// u || v : logically parallel (neither reaches the other).
-  bool parallel(const DePaLabel& u, const DePaLabel& v,
-                DePaMemo* memo = nullptr) const;
+  static bool parallel(const DePaLabel& u, const DePaLabel& v) {
+    const Relation r = relation(u, v);
+    return r.eng != r.heb;
+  }
 
   /// For two *parallel* strands: is u left of v in the left-to-right
   /// depth-first execution order? (English-order comparison.)
-  bool left_of(const DePaLabel& u, const DePaLabel& v,
-               DePaMemo* memo = nullptr) const;
+  static bool left_of(const DePaLabel& u, const DePaLabel& v) {
+    return relation(u, v).eng;
+  }
 
   /// Total frozen chunks minted (test/stats visibility).
   std::uint64_t chunks_minted() const {
@@ -291,8 +221,6 @@ class DePaEngine {
     return u.bits == v.bits && u.tail == v.tail && u.frozen == v.frozen;
   }
 
-  static Relation relation_direct(const DePaLabel& u, const DePaLabel& v);
-
   static constexpr std::size_t kSlabBytes = std::size_t(64) << 10;
   static constexpr std::size_t kChunksPerSlab = kSlabBytes / sizeof(DePaPathChunk);
 
@@ -302,8 +230,7 @@ class DePaEngine {
   std::uint64_t chunks_minted_ = 0;
 };
 
-inline Relation DePaEngine::relation_direct(const DePaLabel& u,
-                                            const DePaLabel& v) {
+inline Relation DePaEngine::relation(const DePaLabel& u, const DePaLabel& v) {
   PINT_ASSERT(u.valid() && v.valid());
   if (label_eq(u, v)) return {};  // same label: strictly ordered by neither
 
@@ -369,47 +296,6 @@ inline Relation DePaEngine::relation_direct(const DePaLabel& u,
   if (u.bits < v.bits) return {true, true};
   if (u.bits > v.bits) return {false, false};
   return {};  // identical content (same vertex reached via copies)
-}
-
-inline Relation DePaEngine::relation(const DePaLabel& u, const DePaLabel& v,
-                                     DePaMemo* memo) const {
-  if (memo == nullptr) return relation_direct(u, v);
-  ++memo->queries;
-  if (label_eq(u, v)) return {};
-  DePaMemo::Entry& e = memo->entries_[DePaMemo::slot_of(u, v)];
-  if (e.used != 0 && DePaMemo::key_matches(e, u, v)) {
-    ++memo->hits;
-    return {e.releng, e.relheb};
-  }
-  const Relation r = relation_direct(u, v);
-  e.utail = u.tail;
-  e.vtail = v.tail;
-  e.ufrozen = u.frozen;
-  e.vfrozen = v.frozen;
-  e.ubits = u.bits;
-  e.vbits = v.bits;
-  e.used = 1;
-  e.releng = r.eng;
-  e.relheb = r.heb;
-  ++memo->fills;
-  return r;
-}
-
-inline bool DePaEngine::precedes(const DePaLabel& u, const DePaLabel& v,
-                                 DePaMemo* memo) const {
-  const Relation r = relation(u, v, memo);
-  return r.eng && r.heb;
-}
-
-inline bool DePaEngine::parallel(const DePaLabel& u, const DePaLabel& v,
-                                 DePaMemo* memo) const {
-  const Relation r = relation(u, v, memo);
-  return r.eng != r.heb;
-}
-
-inline bool DePaEngine::left_of(const DePaLabel& u, const DePaLabel& v,
-                                DePaMemo* memo) const {
-  return relation(u, v, memo).eng;
 }
 
 }  // namespace pint::reach

@@ -71,8 +71,6 @@ void StintDetector::cursor_flush() {
   fast_accesses_ += fl.raw_reads + fl.raw_writes;
   fast_hits_ += fl.hits;
   cursor_spills_ += fl.spills;
-  policy_switches_ += fl.policy_switches;
-  policy_bypass_ += fl.bypassed;
 }
 
 void StintDetector::process_strand(Strand* s) {
@@ -86,7 +84,6 @@ void StintDetector::process_strand(Strand* s) {
     recycle_strand(s);
     return;
   }
-  reach::DePaMemo* memo = opt_.tuning.memo ? &memo_ : nullptr;
   // STINT's history runs inline on the execution thread; the two spans make
   // its writer/reader phases comparable with PINT's asynchronous tracks.
   writer_watch_.start();
@@ -95,11 +92,9 @@ void StintDetector::process_strand(Strand* s) {
     // (same reasoning as PintDetector::process_writer).
     PINT_TSPAN("stint.writer");
     if (opt_.history == detect::HistoryKind::kTreap) {
-      detect::process_writer_treap(writer_treap_, *s, reach_, rep_, stats_,
-                                   memo);
+      detect::process_writer_treap(writer_treap_, *s, reach_, rep_, stats_);
     } else {
-      detect::process_writer_treap(writer_map_, *s, reach_, rep_, stats_,
-                                   memo);
+      detect::process_writer_treap(writer_map_, *s, reach_, rep_, stats_);
     }
   }
   writer_watch_.stop();
@@ -108,10 +103,10 @@ void StintDetector::process_strand(Strand* s) {
     PINT_TSPAN("stint.reader");
     if (opt_.history == detect::HistoryKind::kTreap) {
       detect::process_reader_treap(reader_treap_, *s, reach_, rep_, stats_,
-                                   detect::ReaderSide::kSerial, memo);
+                                   detect::ReaderSide::kSerial);
     } else {
       detect::process_reader_treap(reader_map_, *s, reach_, rep_, stats_,
-                                   detect::ReaderSide::kSerial, memo);
+                                   detect::ReaderSide::kSerial);
     }
   }
   reader_watch_.stop();
@@ -303,13 +298,7 @@ detect::RunResult StintDetector::run(std::function<void()> fn) {
   stats_.fastpath_accesses.store(fast_accesses_);
   stats_.fastpath_hits.store(fast_hits_);
   stats_.cursor_spills.store(cursor_spills_);
-  stats_.policy_switches.store(policy_switches_);
-  stats_.policy_bypass.store(policy_bypass_);
   stats_.slowpath_accesses.store(slow_accesses_);
-  const std::uint64_t mq = memo_.queries;
-  const std::uint64_t mh = memo_.hits;
-  stats_.memo_queries.store(mq);
-  stats_.memo_hits.store(mh);
   stats_.tail_probe_hits.store(tail_hits_);
   stats_.tail_probe_misses.store(tail_misses_);
   stats_.finalize_sorted_skips.store(fin_sorted_);
@@ -325,11 +314,7 @@ detect::RunResult StintDetector::run(std::function<void()> fn) {
   telem::count("access.fastpath.total", fast_accesses_);
   telem::count("access.fastpath.hits", fast_hits_);
   telem::count("access.fastpath.spills", cursor_spills_);
-  telem::count("access.policy.switches", policy_switches_);
-  telem::count("access.policy.bypass", policy_bypass_);
   telem::count("access.slowpath.total", slow_accesses_);
-  telem::count("reach.memo.queries", mq);
-  telem::count("reach.memo.hits", mh);
   // Bulk-run counters accumulate live in process_strand (fetch_add, never
   // overwritten here); STINT has no consumer lanes, so only these two.
   telem::count("history.bulk.runs",

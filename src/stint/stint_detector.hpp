@@ -95,11 +95,6 @@ class StintDetector final : public detect::Detector,
   treap::IntervalTreap reader_treap_;
   detect::GranuleMap writer_map_;
   detect::GranuleMap reader_map_;
-  // precedes() memo - everything is single-threaded here, so one cache is
-  // shared by the writer and reader phases: a strand pair judged while
-  // walking the writer treap is served from cache again in the reader walk
-  // (strands that both wrote and read a region sit in both stores).
-  reach::DePaMemo memo_;
 
   detect::Strand* free_list_ = nullptr;
   std::vector<detect::Strand*> owned_;
@@ -108,7 +103,7 @@ class StintDetector final : public detect::Detector,
   std::uint64_t read_intervals_ = 0, write_intervals_ = 0;
   std::uint64_t strands_ = 0;
   std::uint64_t fast_accesses_ = 0, fast_hits_ = 0, slow_accesses_ = 0;
-  std::uint64_t cursor_spills_ = 0, policy_switches_ = 0, policy_bypass_ = 0;
+  std::uint64_t cursor_spills_ = 0;
   std::uint64_t tail_hits_ = 0, tail_misses_ = 0;
   std::uint64_t fin_sorted_ = 0, fin_simd_ = 0;
   StopwatchAccum writer_watch_, reader_watch_;

@@ -9,8 +9,9 @@
 //    RECORDS are bit-identical across fast path on/off (same sids, same
 //    kinds, same byte ranges - rebased when the two runs use fresh kernel
 //    heaps);
-//  * pipelined PINT: the detected pair set and distinct count match; the
-//    sampled records() prefix is only compared below the reporter cap;
+//  * pipelined and sharded PINT: the detected pair set and distinct count
+//    match; the sampled records() prefix is only compared below the
+//    reporter cap;
 //  * coalesce on/off: identical racing-pair sets on every kernel; on random
 //    programs the contract is the detection verdict (checked against the
 //    oracle), since finer intervals may retain different readers.
@@ -37,7 +38,7 @@ struct FastPathGuard {
 };
 
 // ---------------------------------------------------------------------------
-// Cursor unit tests (drive detail::record_access directly - no detector)
+// Cursor unit tests (drive the detail:: entry points directly - no detector)
 // ---------------------------------------------------------------------------
 
 TEST(AccessCursor, SequentialAccessesCoalesceToOneInterval) {
@@ -47,7 +48,7 @@ TEST(AccessCursor, SequentialAccessesCoalesceToOneInterval) {
   detect::cursor_install(&reads, &writes, /*coalesce=*/true);
   ASSERT_TRUE(detect::cursor_installed());
   alignas(8) unsigned char buf[256] = {};
-  for (int i = 0; i < 32; ++i) detail::record_access(buf + i * 8, 8, false);
+  for (int i = 0; i < 32; ++i) detail::record_access_read(buf + i * 8, 8);
   const detect::CursorFlush fl = detect::cursor_invalidate();
   EXPECT_FALSE(detect::cursor_installed());
   EXPECT_EQ(fl.raw_reads, 32u);
@@ -77,7 +78,7 @@ TEST(AccessCursor, InterleavedStreamsStayInThePendingRing) {
   std::vector<unsigned char> arena(kStreams * kStride);
   for (int i = 0; i < 64; ++i) {
     for (std::size_t s = 0; s < kStreams; ++s) {
-      detail::record_access(arena.data() + s * kStride + i * 8, 8, true);
+      detail::record_access_write(arena.data() + s * kStride + i * 8, 8);
     }
   }
   const detect::CursorFlush fl = detect::cursor_invalidate();
@@ -103,7 +104,7 @@ TEST(AccessCursor, OverflowSpillsToTheBufferWithoutLosingBytes) {
   std::vector<unsigned char> arena(kStreams * kStride);
   for (int i = 0; i < 8; ++i) {
     for (std::size_t s = 0; s < kStreams; ++s) {
-      detail::record_access(arena.data() + s * kStride + i * 8, 8, false);
+      detail::record_access_read(arena.data() + s * kStride + i * 8, 8);
     }
   }
   detect::cursor_invalidate();
@@ -120,7 +121,7 @@ TEST(AccessCursor, CoalesceOffRecordsEveryAccessRaw) {
   detect::AccessBuffer reads, writes;
   detect::cursor_install(&reads, &writes, /*coalesce=*/false);
   unsigned char buf[128] = {};
-  for (int i = 0; i < 16; ++i) detail::record_access(buf + i * 8, 8, true);
+  for (int i = 0; i < 16; ++i) detail::record_access_write(buf + i * 8, 8);
   const detect::CursorFlush fl = detect::cursor_invalidate();
   EXPECT_EQ(fl.raw_writes, 16u);
   EXPECT_EQ(fl.hits, 0u);
@@ -144,9 +145,9 @@ TEST(AccessCursor, DoubleInstallFlushesThePreviousStrand) {
   detect::AccessBuffer r1, w1, r2, w2;
   unsigned char buf[64] = {};
   detect::cursor_install(&r1, &w1, true);
-  detail::record_access(buf, 8, false);
+  detail::record_access_read(buf, 8);
   detect::cursor_install(&r2, &w2, true);  // misuse guard path
-  detail::record_access(buf + 8, 8, false);
+  detail::record_access_read(buf + 8, 8);
   detect::cursor_invalidate();
   r1.finalize(true);
   r2.finalize(true);
@@ -173,22 +174,6 @@ using FullRecord = std::tuple<std::uint64_t, std::uint64_t, int, int,
 using PairKey = std::tuple<std::uint64_t, std::uint64_t, int, int>;
 
 enum class Sys { kStint, kPintSeq, kPint1, kPintShard };
-
-// RAII: policy tests flip the global cursor-policy knob; never leak the
-// setting, and clear this thread's per-site table so a later test starts
-// from virgin policy state.  (Worker-thread tables may keep stale site
-// modes; that is perf-only state and can never change a verdict.)
-struct CursorPolicyGuard {
-  detect::CursorPolicy saved = detect::cursor_policy();
-  ~CursorPolicyGuard() {
-    detect::set_cursor_policy(saved);
-    detect::cursor_policy_reset();
-  }
-};
-
-constexpr detect::CursorPolicy kAllPolicies[] = {
-    detect::CursorPolicy::kAdaptive, detect::CursorPolicy::kInline,
-    detect::CursorPolicy::kWide, detect::CursorPolicy::kBypass};
 
 struct RunOut {
   std::vector<FullRecord> full;    // sorted, absolute addresses
@@ -318,18 +303,21 @@ TEST_P(KernelAccessPath, PipelinedPintAgreesOnThePairSet) {
     k->prepare();
     return k;
   };
-  auto kf = fresh();
-  const RunOut fast = run_config(Sys::kPint1, true, true, [&] { kf->run(); });
-  auto ks = fresh();
-  const RunOut slow = run_config(Sys::kPint1, true, false, [&] { ks->run(); });
   // The detected pair SET is deterministic (queue order fixes processing
   // order), but records() keeps only the first max_records distinct pairs,
   // and on race-heavy kernels WHICH pairs land in that prefix depends on
   // reader-thread interleaving.  So the sampled pair sets are only
   // comparable when neither run hit the cap; the distinct count always is.
-  EXPECT_EQ(fast.distinct, slow.distinct);
-  if (fast.dropped == 0 && slow.dropped == 0) {
-    EXPECT_EQ(fast.pairs, slow.pairs);
+  // Sharded PINT's shard workers interleave the same way.
+  for (const Sys sys : {Sys::kPint1, Sys::kPintShard}) {
+    auto kf = fresh();
+    const RunOut fast = run_config(sys, true, true, [&] { kf->run(); });
+    auto ks = fresh();
+    const RunOut slow = run_config(sys, true, false, [&] { ks->run(); });
+    EXPECT_EQ(fast.distinct, slow.distinct) << "sys=" << int(sys);
+    if (fast.dropped == 0 && slow.dropped == 0) {
+      EXPECT_EQ(fast.pairs, slow.pairs) << "sys=" << int(sys);
+    }
   }
 }
 
@@ -373,98 +361,11 @@ TEST(RandomProgramAccessPath, AllFourConfigurationsAgree) {
     EXPECT_EQ(ref.distinct > 0,
               test::oracle_any_race(*p, test::program_pool_bytes(pc)))
         << "seed=" << seed;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive-cursor policy equivalence (DESIGN.md §11)
-// ---------------------------------------------------------------------------
-
-// The per-site policy machine may only move work between the cursor's
-// absorption tiers and the spill path - never change what gets recorded.
-// Deterministic detectors must be record-bit-identical under every policy.
-TEST_P(KernelAccessPath, EveryCursorPolicyIsBitIdenticalOnPhasedDetectors) {
-  CursorPolicyGuard pg;
-  kernels::KernelConfig cfg;
-  cfg.scale = 0.1;
-  cfg.seeded_race = true;
-  auto fresh = [&] {
-    auto k = kernels::make_kernel(GetParam(), cfg);
-    k->prepare();
-    return k;
-  };
-  detect::set_cursor_policy(detect::CursorPolicy::kAdaptive);
-  auto ks = fresh();
-  // Reference: the slow route, which no cursor policy can touch.
-  const RunOut ref = run_config(Sys::kPintSeq, true, false, [&] { ks->run(); });
-  for (const detect::CursorPolicy p : kAllPolicies) {
-    detect::set_cursor_policy(p);
-    auto k = fresh();
-    const RunOut out = run_config(Sys::kPintSeq, true, true, [&] { k->run(); });
-    EXPECT_EQ(out.rebased, ref.rebased)
-        << "policy " << detect::cursor_policy_name(p) << " changed records";
-    EXPECT_EQ(out.distinct, ref.distinct)
-        << "policy " << detect::cursor_policy_name(p);
-  }
-}
-
-// Pipelined and sharded PINT: the distinct-race count is deterministic for
-// a fixed configuration (the sampled records() prefix is not, see
-// PipelinedPintAgreesOnThePairSet) - so policy invariance is checked per
-// system against that system's own slow-route run.
-TEST_P(KernelAccessPath, EveryCursorPolicyAgreesOnPipelinedAndSharded) {
-  CursorPolicyGuard pg;
-  kernels::KernelConfig cfg;
-  cfg.scale = 0.1;
-  cfg.seeded_race = true;
-  auto fresh = [&] {
-    auto k = kernels::make_kernel(GetParam(), cfg);
-    k->prepare();
-    return k;
-  };
-  for (const Sys sys : {Sys::kPint1, Sys::kPintShard}) {
-    detect::set_cursor_policy(detect::CursorPolicy::kAdaptive);
-    auto ks = fresh();
-    const RunOut ref = run_config(sys, true, false, [&] { ks->run(); });
-    for (const detect::CursorPolicy p : kAllPolicies) {
-      detect::set_cursor_policy(p);
-      auto k = fresh();
-      const RunOut out = run_config(sys, true, true, [&] { k->run(); });
-      EXPECT_EQ(out.distinct, ref.distinct)
-          << "sys=" << int(sys) << " policy "
-          << detect::cursor_policy_name(p);
-      if (out.dropped == 0 && ref.dropped == 0) {
-        EXPECT_EQ(out.pairs, ref.pairs)
-            << "sys=" << int(sys) << " policy "
-            << detect::cursor_policy_name(p);
-      }
-    }
-  }
-}
-
-// Random programs hit the policy machine with much denser strand churn than
-// the kernels (sites see cross-strand windows, bypass leases straddle
-// installs).  Full records must still be bit-identical on STINT, and the
-// verdict must agree on sharded PINT.
-TEST(RandomProgramAccessPath, EveryCursorPolicyAgrees) {
-  CursorPolicyGuard pg;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    test::ProgramConfig pc;
-    auto prog = test::ProgramGen(seed, pc).generate();
-    std::vector<unsigned char> pool(test::program_pool_bytes(pc), 0);
-    unsigned char* base = pool.data();
-    const test::PNode* p = prog.get();
-    const auto body = [p, base] { test::exec_node(*p, base); };
-    detect::set_cursor_policy(detect::CursorPolicy::kAdaptive);
-    const RunOut ref = run_config(Sys::kStint, true, false, body);
-    for (const detect::CursorPolicy pol : kAllPolicies) {
-      detect::set_cursor_policy(pol);
-      const RunOut out = run_config(Sys::kStint, true, true, body);
-      EXPECT_EQ(out.full, ref.full)
-          << "seed=" << seed << " policy " << detect::cursor_policy_name(pol);
+    // Sharded PINT splits every strand's intervals across shard workers,
+    // so its verdict must survive the denser boundary churn too.
+    if (seed <= 8) {
       const RunOut sh = run_config(Sys::kPintShard, true, true, body);
-      EXPECT_EQ(sh.distinct > 0, ref.distinct > 0)
-          << "seed=" << seed << " policy " << detect::cursor_policy_name(pol);
+      EXPECT_EQ(sh.distinct > 0, ref.distinct > 0) << "seed=" << seed;
     }
   }
 }
@@ -474,9 +375,7 @@ TEST(RandomProgramAccessPath, EveryCursorPolicyAgrees) {
 // alternating merge streams (which the pending ring absorbs perfectly)
 // scored zero.  Hits are now defined as raw accesses minus actual
 // AccessBuffer spills; sort must score well above the BENCH_access bar.
-TEST(CursorPolicy, SortKernelKeepsAHighCursorHitRate) {
-  CursorPolicyGuard pg;
-  detect::set_cursor_policy(detect::CursorPolicy::kAdaptive);
+TEST(AccessCursor, SortKernelKeepsAHighCursorHitRate) {
   kernels::KernelConfig cfg;
   cfg.scale = 0.2;  // the BENCH_access.json shape
   auto k = kernels::make_kernel("sort", cfg);
@@ -486,39 +385,6 @@ TEST(CursorPolicy, SortKernelKeepsAHighCursorHitRate) {
   const double rate = double(out.stats.fastpath_hits) /
                       double(out.stats.fastpath_accesses);
   EXPECT_GT(rate, 0.5) << "sort cursor hit rate regressed";
-}
-
-// The memo cache must not change verdicts: seeded-race kernels under PintSeq
-// exercise writer + both reader lanes with memos on every query (they are
-// always on; this pins the hit-rate counters' sanity instead).
-TEST(ReachMemo, CountersAreCoherent) {
-  kernels::KernelConfig cfg;
-  cfg.scale = 0.1;
-  cfg.seeded_race = true;
-  auto k = kernels::make_kernel("heat", cfg);
-  k->prepare();
-  const RunOut out = run_config(Sys::kPintSeq, true, true, [&] { k->run(); });
-  EXPECT_LE(out.stats.memo_hits, out.stats.memo_queries);
-  EXPECT_GT(out.stats.memo_queries, 0u);
-}
-
-// Every history configuration must fold memo counters from every lane it
-// runs (STINT's inline phases, phased/pipelined writer + both readers,
-// sharded's per-shard caches), so the BENCH_access hit rates stay
-// comparable across modes.
-TEST(ReachMemo, EveryModeCountsQueriesOnAllLanes) {
-  kernels::KernelConfig cfg;
-  cfg.scale = 0.1;
-  cfg.seeded_race = true;
-  for (const Sys sys :
-       {Sys::kStint, Sys::kPintSeq, Sys::kPint1, Sys::kPintShard}) {
-    auto k = kernels::make_kernel("heat", cfg);
-    k->prepare();
-    const RunOut out = run_config(sys, true, true, [&] { k->run(); });
-    EXPECT_GT(out.stats.memo_queries, 0u) << "sys=" << int(sys);
-    EXPECT_LE(out.stats.memo_hits, out.stats.memo_queries)
-        << "sys=" << int(sys);
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Lockset matrix (DESIGN.md §12): mutex-guarded programs must report ZERO
 // races with lock edges on, their unguarded twins must keep racing, and the
 // verdicts must agree across every detector and history mode.  Also covers
-// the LocksetTable itself and memo bit-identity with lock edges enabled.
+// the LocksetTable itself and the lock-edge ablation knob.
 
 #include <gtest/gtest.h>
 
@@ -179,63 +179,9 @@ TEST(LockAblation, EnvSpecTogglesLockEdges) {
   detect::Tuning t;  // defaults
   t = detect::Tuning::parse("locks=off", t);
   EXPECT_FALSE(t.lock_edges);
-  t = detect::Tuning::parse("locks=on,memo=off", t);
+  t = detect::Tuning::parse("locks=on,simd=off", t);
   EXPECT_TRUE(t.lock_edges);
-  EXPECT_FALSE(t.memo);
-}
-
-// ---------------------------------------------------------------------------
-// Memo bit-identity with lock edges on
-// ---------------------------------------------------------------------------
-
-TEST(LockMemo, MemoOnOffBitIdenticalWithLockEdges) {
-  // The memo may change the cost of reachability queries, never a verdict -
-  // including across the lockset strand splits (same-label segments).  The
-  // racy cache has a rich mix of guarded and unguarded pairs.
-  for (bool seeded : {false, true}) {
-    std::uint64_t base_races = ~std::uint64_t(0);
-    for (bool memo : {true, false}) {
-      kernels::KernelConfig kc;
-      kc.scale = 0.5;
-      kc.seeded_race = seeded;
-      auto k = kernels::make_kernel("lkcache", kc);
-      k->prepare();
-      stint::StintDetector::Options o;
-      o.tuning.memo = memo;
-      stint::StintDetector det(o);
-      det.run([&] { k->run(); });
-      const std::uint64_t got = det.reporter().distinct_races();
-      if (base_races == ~std::uint64_t(0)) {
-        base_races = got;
-      } else {
-        EXPECT_EQ(got, base_races)
-            << "memo changed the race set (seeded=" << seeded << ")";
-      }
-      if (!memo) {
-        EXPECT_EQ(det.stats().memo_queries.load(), 0u);
-      }
-    }
-    if (seeded) EXPECT_GT(base_races, 0u);
-    if (!seeded) EXPECT_EQ(base_races, 0u);
-  }
-}
-
-TEST(LockMemo, PintShardedMemoBitIdenticalWithLockEdges) {
-  for (bool memo : {true, false}) {
-    kernels::KernelConfig kc;
-    kc.scale = 0.5;
-    kc.seeded_race = true;
-    auto k = kernels::make_kernel("lktwin", kc);
-    k->prepare();
-    pintd::PintDetector::Options o;
-    o.core_workers = 2;
-    o.history_shards = 3;
-    o.tuning.memo = memo;
-    pintd::PintDetector det(o);
-    det.run([&] { k->run(); });
-    EXPECT_TRUE(det.reporter().any());
-    if (!memo) EXPECT_EQ(det.stats().memo_queries.load(), 0u);
-  }
+  EXPECT_FALSE(t.simd);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for DePa reachability: hand-built scenarios, the label-encoding
 // regimes (paths long enough to freeze chunks, wide fans, equal-label
-// lockset splits), the pair memo, and a property test of relation() against
+// lockset splits), and a property test of relation() against
 // a transitive-closure oracle plus the serial (English) execution order on
 // random series-parallel DAGs.
 
@@ -95,16 +95,11 @@ TEST(Reach, EqualLabelsOrderedByNeither) {
   DePaLabel sync;
   const auto s = e.on_spawn(u, &sync);
   const DePaLabel copy = s.child;  // a split segment's byte-identical label
-  const reach::Relation r = e.relation(s.child, copy, nullptr);
+  const reach::Relation r = e.relation(s.child, copy);
   EXPECT_FALSE(r.eng);
   EXPECT_FALSE(r.heb);
   EXPECT_FALSE(e.parallel(s.child, copy));
   EXPECT_FALSE(e.precedes(s.child, copy));
-  // Memoized route must agree.
-  reach::DePaMemo memo;
-  const reach::Relation rm = e.relation(s.child, copy, &memo);
-  EXPECT_FALSE(rm.eng);
-  EXPECT_FALSE(rm.heb);
 }
 
 TEST(Reach, DeepChainCrossesWordBoundaries) {
@@ -180,42 +175,6 @@ TEST(Reach, ChunkArenaFreezesLongPaths) {
   const auto root = e.root_label();
   EXPECT_TRUE(e.precedes(root, cur));
   EXPECT_FALSE(e.precedes(cur, root));
-}
-
-TEST(Reach, MemoServesRepeatsAndCounts) {
-  // The memo's verdicts are checked against the oracle by the closure test
-  // below; here its counters must move (detectors fold them into Stats),
-  // a repeated pair must be served from cache, and clear() must reset.
-  DePaEngine e;
-  DePaLabel cur = e.root_label();
-  std::vector<DePaLabel> all{cur};
-  for (int i = 0; i < 40; ++i) {
-    DePaLabel sync;
-    const auto s = e.on_spawn(cur, &sync);
-    all.push_back(s.child);
-    all.push_back(s.cont);
-    all.push_back(sync);
-    cur = (i % 3 == 0) ? s.child : s.cont;
-  }
-  reach::DePaMemo memo;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      for (std::size_t j = 0; j < all.size(); ++j) {
-        const reach::Relation direct = e.relation(all[i], all[j], nullptr);
-        const reach::Relation memod = e.relation(all[i], all[j], &memo);
-        ASSERT_EQ(direct.eng, memod.eng) << i << "," << j << " pass " << pass;
-        ASSERT_EQ(direct.heb, memod.heb) << i << "," << j << " pass " << pass;
-      }
-    }
-  }
-  EXPECT_GT(memo.queries, 0u);
-  EXPECT_GT(memo.hits, 0u);  // second pass must hit
-  EXPECT_LE(memo.hits, memo.queries);
-  memo.clear();
-  EXPECT_EQ(memo.queries, 0u);
-  EXPECT_FALSE(memo.cached(all[1], all[2]));
-  e.relation(all[1], all[2], &memo);
-  EXPECT_TRUE(memo.cached(all[1], all[2]));
 }
 
 // ---------------------------------------------------------------------------
@@ -308,8 +267,8 @@ std::vector<DagGen> dag_cases() {
 
 class ReachClosure : public ::testing::TestWithParam<DagGen> {};
 
-// Both relation() bits are pinned for every ordered pair, with a null memo
-// and through a DePaMemo: eng is the English (serial execution) order, and
+// Both relation() bits are pinned for every ordered pair: eng is the
+// English (serial execution) order, and
 // heb agrees with it exactly on the pairs the closure orders - so series
 // pairs are {1,1} or {0,0} and parallel pairs have eng != heb.
 TEST_P(ReachClosure, RelationMatchesClosureAndEnglishOrder) {
@@ -331,22 +290,17 @@ TEST_P(ReachClosure, RelationMatchesClosureAndEnglishOrder) {
       }
     }
   }
-  reach::DePaMemo memo;
-  reach::DePaMemo* const memos[] = {nullptr, &memo};
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j) continue;
       const bool eng = b.english[i] < b.english[j];
       const bool series = closure[i][j] || closure[j][i];
       const bool heb = series ? bool(closure[i][j]) : !eng;
-      for (reach::DePaMemo* m : memos) {
-        const reach::Relation r = b.e.relation(b.strands[i], b.strands[j], m);
-        ASSERT_EQ(r.eng, eng) << "i=" << i << " j=" << j << " memo=" << !!m;
-        ASSERT_EQ(r.heb, heb) << "i=" << i << " j=" << j << " memo=" << !!m;
-      }
+      const reach::Relation r = b.e.relation(b.strands[i], b.strands[j]);
+      ASSERT_EQ(r.eng, eng) << "i=" << i << " j=" << j;
+      ASSERT_EQ(r.heb, heb) << "i=" << i << " j=" << j;
     }
   }
-  EXPECT_EQ(memo.queries, std::uint64_t(n * (n - 1)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
