@@ -4,9 +4,11 @@
 //
 // Besides the google-benchmark suite, `--bulk-json FILE` runs a self-timed
 // comparison of the per-record insert/query/erase loops against the bulk
-// sorted-run API (DESIGN.md §10) and writes the results as JSON.  The writer
-// rows are gated: the run API must be at least kSpeedupBar x faster per
-// interval or the process exits non-zero (the ci.sh perf lane runs this).
+// sorted-run API (DESIGN.md §10) and writes the results as JSON.  The
+// enforced rows are gated: the run API must be at least kSpeedupBar x faster
+// per interval or the process exits non-zero (the ci.sh perf lane runs
+// this).  The informational reader_strided row replays fft's strided gather
+// and also reports the store's bytes per stored interval.
 
 #include <benchmark/benchmark.h>
 
@@ -160,6 +162,7 @@ struct Row {
   double per_record_ns;  // ns per interval, best of kReps
   double bulk_ns;
   bool enforced;
+  double bytes_per_interval = 0;  // reported when non-zero
   double speedup() const { return bulk_ns == 0 ? 0 : per_record_ns / bulk_ns; }
 };
 
@@ -170,7 +173,7 @@ double time_pass(const std::vector<std::vector<Iv>>& runs, Body&& body,
                  std::uint64_t* sink) {
   double best = 0;
   for (int rep = 0; rep < kReps; ++rep) {
-    treap::IntervalTreap t(0x5EED + rep);
+    treap::IntervalTreap t;
     populate(t, runs);
     const double t0 = now_ns();
     body(t, sink);
@@ -183,7 +186,7 @@ double time_pass(const std::vector<std::vector<Iv>>& runs, Body&& body,
 /// One-time correctness gate: per-record and run-API replacement passes must
 /// leave identical treap contents and fire the same callback sequence.
 bool bulk_matches_per_record(const std::vector<std::vector<Iv>>& runs) {
-  treap::IntervalTreap a(0xABCD), b(0xABCD);
+  treap::IntervalTreap a, b;
   populate(a, runs);
   populate(b, runs);
   std::vector<std::uint64_t> ca, cb;
@@ -285,6 +288,49 @@ Row bench_erase(const char* name, std::uint64_t gap) {
   return {name, per_rec, bulk, true};
 }
 
+/// fft's butterfly gather (informational): 2048 runs of 128 8-byte reads
+/// at a 16 KiB stride, one accessor per run, grow an empty reader store to
+/// 262,144 separate intervals - the reader-lane shape of the
+/// pipelined-strided benchmark workload.
+Row bench_reader_strided() {
+  constexpr std::size_t kGatherRuns = 2048, kGatherLen = 128;
+  constexpr std::uint64_t kStride = 16 << 10, kRead = 8;
+  std::vector<std::vector<Iv>> runs(kGatherRuns);
+  for (std::size_t r = 0; r < kGatherRuns; ++r) {
+    for (std::size_t j = 0; j < kGatherLen; ++j) {
+      const std::uint64_t lo = r * kRead + j * kStride;
+      runs[r].push_back({lo, lo + kRead - 1});
+    }
+  }
+  auto resolve = [](const treap::Accessor& prev, const treap::Accessor&) {
+    return (prev.sid & 1) != 0;
+  };
+  const double n = double(kGatherRuns * kGatherLen);
+  double best[2] = {0, 0}, bytes = 0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (int bulk = 0; bulk < 2; ++bulk) {
+      treap::IntervalTreap t;
+      const double t0 = now_ns();
+      for (std::size_t r = 0; r < kGatherRuns; ++r) {
+        const std::vector<Iv>& run = runs[r];
+        if (bulk) {
+          t.insert_reader_run(run.data(), run.size(), acc(r + 1), resolve);
+        } else {
+          for (const Iv& iv : run) {
+            t.insert_reader(iv.lo, iv.hi, acc(r + 1), resolve);
+          }
+        }
+      }
+      const double ns = (now_ns() - t0) / n;
+      if (rep == 0 || ns < best[bulk]) best[bulk] = ns;
+      bytes = double(t.memory_bytes()) / double(t.size());
+    }
+  }
+  Row row{"reader_strided", best[0], best[1], false};
+  row.bytes_per_interval = bytes;
+  return row;
+}
+
 int run_bulk_bench(const std::string& json_path) {
   if (!bulk_matches_per_record(make_runs(64)) ||
       !bulk_matches_per_record(make_runs(0))) {
@@ -296,6 +342,7 @@ int run_bulk_bench(const std::string& json_path) {
   rows.push_back(bench_writer("writer_adjacent", 0));
   rows.push_back(bench_reader("reader_disjoint", 64));
   rows.push_back(bench_erase("erase_disjoint", 64));
+  rows.push_back(bench_reader_strided());
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {
@@ -312,12 +359,17 @@ int run_bulk_bench(const std::string& json_path) {
   std::fprintf(f, "  \"speedup_bar\": %.2f,\n  \"rows\": [\n", kSpeedupBar);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
+    char bytes[64] = "";
+    if (r.bytes_per_interval > 0) {
+      std::snprintf(bytes, sizeof bytes, ", \"bytes_per_interval\": %.1f",
+                    r.bytes_per_interval);
+    }
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"per_record_ns_per_interval\": %.2f, "
                  "\"bulk_ns_per_interval\": %.2f, \"speedup\": %.2f, "
-                 "\"enforced\": %s}%s\n",
+                 "\"enforced\": %s%s}%s\n",
                  r.name, r.per_record_ns, r.bulk_ns, r.speedup(),
-                 r.enforced ? "true" : "false",
+                 r.enforced ? "true" : "false", bytes,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -328,6 +380,10 @@ int run_bulk_bench(const std::string& json_path) {
     std::printf("%-16s per-record %8.2f ns/iv  bulk %8.2f ns/iv  speedup %.2fx%s\n",
                 r.name, r.per_record_ns, r.bulk_ns, r.speedup(),
                 r.enforced ? "" : "  (informational)");
+    if (r.bytes_per_interval > 0) {
+      std::printf("%-16s %.1f bytes per stored interval\n", r.name,
+                  r.bytes_per_interval);
+    }
     if (r.enforced && r.speedup() < kSpeedupBar) {
       std::fprintf(stderr, "FAIL: %s speedup %.2fx < %.2fx bar\n", r.name,
                    r.speedup(), kSpeedupBar);

@@ -11,7 +11,6 @@
 #include "support/arena.hpp"
 #include "support/error_sink.hpp"
 #include "support/failpoint.hpp"
-#include "support/rng.hpp"
 #include "support/telemetry.hpp"
 #include "support/timer.hpp"
 
@@ -21,11 +20,6 @@ using detect::ReaderSide;
 using detect::Strand;
 
 namespace {
-std::uint64_t subseed(std::uint64_t seed, std::uint64_t salt) {
-  std::uint64_t s = seed + salt * 0x9e3779b97f4a7c15ULL;
-  return splitmix64(s);
-}
-
 // How long an allocation-failure fallback waits for the pipeline to recycle
 // an object before declaring the run unsurvivable (clean abort through the
 // error sink rather than a silent hang).
@@ -103,20 +97,13 @@ T* pool_take(Spinlock& mu, std::vector<T*>& pool,
 }  // namespace
 
 PintDetector::PintDetector(const Options& opt)
-    : opt_(opt),
-      queue_(opt.queue_capacity),
-      writer_treap_(subseed(opt.seed, 1)),
-      lreader_treap_(subseed(opt.seed, 2)),
-      rreader_treap_(subseed(opt.seed, 3)) {
+    : opt_(opt), queue_(opt.queue_capacity) {
   rep_.set_verbose(opt_.verbose_races);
   PINT_CHECK_MSG(
       opt_.history_shards == 0 || opt_.history == detect::HistoryKind::kTreap,
       "sharded history supports the treap store only");
   for (int k = 0; k < opt_.history_shards; ++k) {
-    shards_.push_back(std::make_unique<HistoryShard>(
-        subseed(opt_.seed, 10 + std::uint64_t(k) * 3),
-        subseed(opt_.seed, 11 + std::uint64_t(k) * 3),
-        subseed(opt_.seed, 12 + std::uint64_t(k) * 3)));
+    shards_.push_back(std::make_unique<HistoryShard>());
   }
   for (int i = 0; i < opt_.core_workers; ++i) {
     auto ws = std::make_unique<CoreWS>();

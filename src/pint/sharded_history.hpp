@@ -64,9 +64,6 @@ struct HistoryShard {
   treap::IntervalTreap rreader;
   StopwatchAccum watch;
 
-  HistoryShard(std::uint64_t seed_w, std::uint64_t seed_l, std::uint64_t seed_r)
-      : writer(seed_w), lreader(seed_l), rreader(seed_r) {}
-
   /// Applies one strand record to this shard (reads checked then inserted,
   /// writes checked against all three stores then inserted, clears/frees
   /// erased) - the same order as the three dedicated workers use, restricted

@@ -5,7 +5,6 @@
 
 #include "detect/instrument.hpp"
 #include "support/arena.hpp"
-#include "support/rng.hpp"
 #include "support/telemetry.hpp"
 
 namespace pint::stint {
@@ -13,9 +12,7 @@ namespace pint::stint {
 using detect::Strand;
 
 StintDetector::StintDetector(const Options& opt)
-    : opt_(opt),
-      writer_treap_(opt.seed * 2 + 1),
-      reader_treap_(opt.seed * 2 + 2) {
+    : opt_(opt) {
   rep_.set_verbose(opt_.verbose_races);
 }
 

@@ -1,14 +1,10 @@
 #pragma once
 
-// Non-overlapping interval treap (the STINT access-history structure).
+// Non-overlapping interval store (the STINT access-history structure).
 //
 // Stores disjoint, inclusive byte intervals [lo, hi], each owned by one
-// accessor (a strand's reachability label + id), in a treap keyed by `lo`
-// with random heap priorities.  The no-overlap invariant means interval
-// endpoints are sorted consistently with the keys, which the query path
-// exploits for pruning.
-//
-// Three mutation flavors match the three roles a treap plays in PINT:
+// accessor (a strand's reachability label + id).  Three mutation flavors
+// match the three roles a store plays in PINT:
 //
 //  * insert_writer  - "last writer" semantics: every overlapped segment is
 //    reported to a callback (race check), then the new accessor replaces the
@@ -21,10 +17,18 @@
 //  * erase_range    - clears [lo, hi] (stack-frame clearing at spawned
 //    function return, and freed heap ranges; paper §III-F).
 //
-// The treap is strictly sequential - in PINT each instance is owned by one
-// treap worker; in STINT everything runs on one thread (paper §III-C).
+// Layout (DESIGN.md §2.3; the class keeps the paper's treap name): a B+-tree
+// keyed by `lo` whose doubly linked leaves hold up to kCap entries in
+// parallel lo[]/hi[]/handle[] arrays.  No entry straddles a separator, so
+// the leaf whose key range holds an address holds every entry covering it.
+// Accessors are interned per store with reference counts: an entry costs
+// 20 bytes instead of a 48-byte Accessor plus links.
+//
+// The store is strictly sequential - in PINT each instance is owned by one
+// history worker; in STINT everything runs on one thread (paper §III-C).
 
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <vector>
@@ -32,13 +36,12 @@
 #include "reach/depa.hpp"
 #include "support/arena.hpp"
 #include "support/assert.hpp"
-#include "support/rng.hpp"
 
 namespace pint::treap {
 
 using addr_t = std::uint64_t;
 
-/// Persistent identity of an interval's accessor. Kept in the treap after
+/// Persistent identity of an interval's accessor. Kept in the store after
 /// the transient strand record is recycled (a DePa label is a self-contained
 /// value whose frozen path chunks live in the engine's slab arena).
 struct Accessor {
@@ -52,13 +55,14 @@ class IntervalTreap {
  public:
   // The arena knob is snapshotted at construction (detectors build their
   // stores in the constructor, before run() re-applies globals) so every
-  // chunk's release matches its allocation provenance.
-  explicit IntervalTreap(std::uint64_t seed = 0x51A7EEDULL)
-      : rng_(seed), use_arena_(support::arena_recycle()) {}
+  // chunk's release matches its allocation provenance.  Nothing is
+  // allocated until the first insert.
+  IntervalTreap() : use_arena_(support::arena_recycle()) {}
   ~IntervalTreap() {
-    for (Node* c : chunks_) {
+    auto& slabs = support::SlabSource::instance();
+    for (Slot* c : chunks_) {
       if (use_arena_) {
-        support::SlabSource::instance().give(c, sizeof(Node) * kChunk);
+        slabs.give(c, sizeof(Slot) * kChunk);
       } else {
         delete[] c;
       }
@@ -71,17 +75,16 @@ class IntervalTreap {
   /// overlapping [lo, hi], in address order. Non-mutating.
   template <class F>
   void query(addr_t lo, addr_t hi, F&& cb) const {
-    query_rec(root_, lo, hi, cb);
+    Cursor c;
+    query_at(c, lo, hi, cb);
   }
 
   /// Last-writer insert: cb(seg_lo, seg_hi, prev_accessor) per overlap, then
   /// [lo, hi] is owned by `a`.
   template <class F>
   void insert_writer(addr_t lo, addr_t hi, const Accessor& a, F&& cb) {
-    Node *left, *right;
-    carve(lo, hi, &left, &right);
-    for (const Piece& p : scratch_) cb(p.lo, p.hi, p.who);
-    root_ = merge(merge(left, make_node(lo, hi, a)), right);
+    const Piece one{lo, hi, 0, false};
+    insert_writer_run(&one, 1, a, cb);
   }
 
   /// Reader insert: for each overlapped segment, `resolve(prev, a)` returns
@@ -89,60 +92,36 @@ class IntervalTreap {
   /// Adjacent result segments with the same winner are coalesced.
   template <class R>
   void insert_reader(addr_t lo, addr_t hi, const Accessor& a, R&& resolve) {
-    Node *left, *right;
-    carve(lo, hi, &left, &right);
-    root_ = merge(merge(left, reader_cover(lo, hi, a, resolve)), right);
+    const Piece one{lo, hi, 0, false};
+    insert_reader_run(&one, 1, a, resolve);
   }
 
   /// Removes all coverage of [lo, hi], truncating boundary intervals.
   void erase_range(addr_t lo, addr_t hi) {
-    Node *left, *right;
-    carve(lo, hi, &left, &right);
-    root_ = merge(left, right);
+    const Piece one{lo, hi, 0, false};
+    erase_run(&one, 1);
   }
 
-  // --- Bulk sorted-run apply (DESIGN.md §10) -------------------------------
+  // --- Sorted-run forms (DESIGN.md §10) ------------------------------------
   //
-  // Each *_run operation takes a run of k intervals - sorted by lo, pairwise
-  // non-overlapping (adjacency allowed), all owned by one accessor, exactly
-  // the shape of a finalized strand record list - and applies it in ONE
-  // left-to-right carve of the run's span instead of k independent root
-  // walks: O(k + m + log n) amortized, where m is the stored coverage inside
-  // the span.  The per-overlapped-segment callback/resolver sequence is
-  // identical to the per-interval loop: stored segments are disjoint and the
-  // run intervals are disjoint and sorted, so ordering events by (interval,
-  // segment.lo) - the per-interval loop - and by (segment.lo, interval) -
-  // the sweep below - yields the same sequence.  Gap coverage between run
-  // intervals is preserved with its original owner (possibly re-keyed nodes,
-  // never changed contents).
+  // Each *_run operation takes k intervals sorted by lo, pairwise disjoint
+  // (adjacency allowed) and owned by one accessor - a finalized strand
+  // record list - and applies the per-interval operation to each in order
+  // through one cursor: it stays in the cursor's leaf or steps to the next
+  // one when the interval starts there, and descends from the root only
+  // otherwise.  Callback/resolver sequences and final contents are those of
+  // the per-interval loop by construction; reader coalescing never crosses
+  // an interval boundary.
 
   /// Run query: cb(seg_lo, seg_hi, accessor) for every stored segment part
   /// overlapping each interval, in the per-interval loop's order.
   template <class Iv, class F>
   void query_run(const Iv* iv, std::size_t k, F&& cb) const {
-    if (k == 0) return;
-    if (k == 1) {
-      query(iv[0].lo, iv[0].hi, cb);
-      return;
-    }
-    if (!run_is_dense(iv, k)) {
-      // One frontier-pruned in-order walk instead of k root descents.  The
-      // emission order is (segment, interval), equal to the per-interval
-      // order by the same §10 argument the dense join below relies on.
-      assert_run_sorted(iv, k);
-      std::size_t j = 0;
-      query_multi(root_, iv, k, &j, cb);
-      return;
-    }
     assert_run_sorted(iv, k);
-    std::size_t j = 0;  // first interval that can still overlap a segment
-    auto join = [&](addr_t lo, addr_t hi, const Accessor& who) {
-      while (j < k && iv[j].hi < lo) ++j;
-      for (std::size_t x = j; x < k && iv[x].lo <= hi; ++x) {
-        cb(iv[x].lo > lo ? iv[x].lo : lo, iv[x].hi < hi ? iv[x].hi : hi, who);
-      }
-    };
-    query_rec(root_, iv[0].lo, iv[k - 1].hi, join);
+    Cursor c;
+    for (std::size_t j = 0; j < k; ++j) {
+      query_at(c, iv[j].lo, iv[j].hi, cb);
+    }
   }
 
   /// Run writer insert: per overlapped segment part cb(lo, hi, prev), then
@@ -150,606 +129,649 @@ class IntervalTreap {
   template <class Iv, class F>
   void insert_writer_run(const Iv* iv, std::size_t k, const Accessor& a,
                          F&& cb) {
-    if (k == 0) return;
-    if (k == 1) {
-      insert_writer(iv[0].lo, iv[0].hi, a, cb);
-      return;
-    }
-    if (!run_is_dense(iv, k)) {
-      // Incremental frontier apply (DESIGN.md §13): each interval's carve
-      // works on the shrinking right remainder instead of the whole tree.
-      assert_run_sorted(iv, k);
-      Node* done = nullptr;
-      Node* rest = root_;
-      root_ = nullptr;
-      for (std::size_t j = 0; j < k; ++j) {
-        Node *l, *r;
-        carve_tree(&rest, iv[j].lo, iv[j].hi, &l, &r);
-        for (const Piece& p : scratch_) cb(p.lo, p.hi, p.who);
-        done = merge(done, merge(l, make_node(iv[j].lo, iv[j].hi, a)));
-        rest = r;
-      }
-      root_ = merge(done, rest);
-      return;
-    }
     assert_run_sorted(iv, k);
-    Node *left, *right;
-    carve(iv[0].lo, iv[k - 1].hi, &left, &right);
-    pieces_out_.clear();
-    std::size_t si = 0;
-    addr_t seg_lo = scratch_.empty() ? 0 : scratch_[0].lo;
+    if (k == 0) return;
+    const std::uint32_t h = pin(a);
     for (std::size_t j = 0; j < k; ++j) {
-      const addr_t lo = iv[j].lo, hi = iv[j].hi;
-      sweep_keep_before(lo, &si, &seg_lo);
-      while (si < scratch_.size() && seg_lo <= hi) {
-        const Piece& p = scratch_[si];
-        cb(seg_lo, p.hi < hi ? p.hi : hi, p.who);
-        if (p.hi > hi) {  // segment continues into the gap after iv[j]
-          seg_lo = hi + 1;
-          break;
-        }
-        ++si;
-        if (si < scratch_.size()) seg_lo = scratch_[si].lo;
-      }
-      pieces_out_.push_back({lo, hi, a});
+      const Hole hole = carve(iv[j].lo, iv[j].hi);
+      for (const Piece& p : scratch_) cb(p.lo, p.hi, who_[p.h]);
+      out_.assign(1, Piece{iv[j].lo, iv[j].hi, h, false});
+      fill(hole);
     }
-    PINT_ASSERT(si == scratch_.size());  // span ends at iv[k-1].hi
-    root_ = merge(merge(left, build_sorted()), right);
+    unpin(h);
   }
 
-  /// Run reader insert: same winner rule as insert_reader per interval;
-  /// winner coalescing never crosses an interval boundary (so the final
-  /// contents match k separate insert_reader calls exactly).
+  /// Run reader insert: same winner rule as insert_reader per interval.
   template <class Iv, class R>
   void insert_reader_run(const Iv* iv, std::size_t k, const Accessor& a,
                          R&& resolve) {
-    if (k == 0) return;
-    if (k == 1) {
-      insert_reader(iv[0].lo, iv[0].hi, a, resolve);
-      return;
-    }
-    if (!run_is_dense(iv, k)) {
-      // Incremental frontier apply; contents AND shape match k insert_reader
-      // calls exactly (same carves, same RNG order, and a treap's shape is a
-      // function of its key/priority set alone).
-      assert_run_sorted(iv, k);
-      Node* done = nullptr;
-      Node* rest = root_;
-      root_ = nullptr;
-      for (std::size_t j = 0; j < k; ++j) {
-        Node *l, *r;
-        carve_tree(&rest, iv[j].lo, iv[j].hi, &l, &r);
-        done = merge(
-            done, merge(l, reader_cover(iv[j].lo, iv[j].hi, a, resolve)));
-        rest = r;
-      }
-      root_ = merge(done, rest);
-      return;
-    }
     assert_run_sorted(iv, k);
-    Node *left, *right;
-    carve(iv[0].lo, iv[k - 1].hi, &left, &right);
-    pieces_out_.clear();
-    std::size_t si = 0;
-    addr_t seg_lo = scratch_.empty() ? 0 : scratch_[0].lo;
+    if (k == 0) return;
+    const std::uint32_t h = pin(a);
     for (std::size_t j = 0; j < k; ++j) {
       const addr_t lo = iv[j].lo, hi = iv[j].hi;
-      sweep_keep_before(lo, &si, &seg_lo);
-      const std::size_t mark = pieces_out_.size();
+      const Hole hole = carve(lo, hi);
+      out_.clear();
       addr_t cursor = lo;
       bool covered_to_hi = false;
-      while (si < scratch_.size() && seg_lo <= hi) {
-        const Piece& p = scratch_[si];
-        const addr_t phi = p.hi < hi ? p.hi : hi;
-        if (seg_lo > cursor) push_piece_from(mark, cursor, seg_lo - 1, a);
-        const Accessor& w = resolve(p.who, a) ? a : p.who;
-        push_piece_from(mark, seg_lo, phi, w);
-        if (phi == hi) covered_to_hi = true;  // avoids the hi+1 wrap below
-        if (p.hi > hi) {
-          seg_lo = hi + 1;
+      for (const Piece& p : scratch_) {
+        if (p.lo > cursor) push_piece(cursor, p.lo - 1, h);
+        push_piece(p.lo, p.hi, resolve(who_[p.h], a) ? h : p.h);
+        if (p.hi == hi) {  // avoids the hi+1 wrap when hi == kMaxAddr
+          covered_to_hi = true;
           break;
         }
-        ++si;
-        if (si < scratch_.size()) seg_lo = scratch_[si].lo;
-        if (covered_to_hi) break;
-        cursor = phi + 1;
+        cursor = p.hi + 1;
       }
-      if (!covered_to_hi && cursor <= hi) push_piece_from(mark, cursor, hi, a);
+      if (!covered_to_hi && cursor <= hi) push_piece(cursor, hi, h);
+      fill(hole);
     }
-    PINT_ASSERT(si == scratch_.size());
-    root_ = merge(merge(left, build_sorted()), right);
+    unpin(h);
   }
 
   /// Run erase: clears every interval of the run; gap coverage survives.
-  /// Unlike the writer/reader runs there are no callbacks, so this skips the
-  /// carve + Piece materialization entirely: one in-order zipper sweep over
-  /// the span's nodes drops covered ones and REUSES each node with a
-  /// surviving sub-segment in place (first survivor keeps the node, later
-  /// survivors of the same node get fresh ones), rebuilding via the same
-  /// right-spine stack as build_sorted().  O(k + m + log n) with no
-  /// per-kept-node release/alloc churn.
   template <class Iv>
   void erase_run(const Iv* iv, std::size_t k) {
-    if (k == 0) return;
-    if (k == 1) {
-      erase_range(iv[0].lo, iv[0].hi);
-      return;
-    }
-    if (!run_is_dense(iv, k)) {
-      // Incremental frontier erase, mirroring the sparse insert paths.
-      assert_run_sorted(iv, k);
-      Node* done = nullptr;
-      Node* rest = root_;
-      root_ = nullptr;
-      for (std::size_t j = 0; j < k; ++j) {
-        Node *l, *r;
-        carve_tree(&rest, iv[j].lo, iv[j].hi, &l, &r);
-        done = merge(done, l);
-        rest = r;
-      }
-      root_ = merge(done, rest);
-      return;
-    }
     assert_run_sorted(iv, k);
-    const addr_t span_lo = iv[0].lo;
-    const addr_t span_hi = iv[k - 1].hi;
-    Node *left, *b, *mid, *right;
-    split(root_, span_lo, &left, &b);
-    root_ = nullptr;
-    split(b, span_hi == kMaxAddr ? kMaxAddr : span_hi + 1, &mid, &right);
-    if (span_hi == kMaxAddr && right) {
-      // span_hi+1 would wrap; nothing can start after kMaxAddr anyway.
-      mid = merge(mid, right);
-      right = nullptr;
+    c_.leaf = nullptr;
+    for (std::size_t j = 0; j < k && root_ != nullptr; ++j) {
+      const Hole hole = carve(iv[j].lo, iv[j].hi, false);
+      out_.clear();
+      fill(hole);
     }
-    spine_.clear();
-    std::size_t j = 0;  // sweep frontier into the run
-    // Predecessor straddle: truncate in place (key and priority unchanged,
-    // so it merges back untouched); the part inside the span joins the
-    // sweep as a headless segment whose gap survivors get fresh nodes.
-    Node* pred = detach_max(&left);
-    if (pred) {
-      if (pred->hi >= span_lo) {
-        const addr_t tail_hi = pred->hi;
-        const Accessor tail_who = pred->who;
-        pred->hi = span_lo - 1;  // pred->lo < span_lo by the split
-        left = merge(left, pred);
-        erase_sweep_segment(span_lo, tail_hi, tail_who, nullptr, iv, k, &j);
-      } else {
-        left = merge(left, pred);
-      }
-    }
-    erase_sweep(mid, iv, k, &j);
-    Node* kept = spine_.empty() ? nullptr : spine_.front();
-    root_ = merge(merge(left, kept), right);
+    close_gap();
+    collapse_root();
   }
 
   bool empty() const { return root_ == nullptr; }
-  std::size_t size() const { return count_rec(root_); }
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const Leaf* l = first_leaf(); l != nullptr; l = l->next) n += l->n;
+    return n;
+  }
+  /// Interned accessors currently referenced by at least one interval.
+  std::size_t live_accessors() const { return who_.size() - free_.size(); }
+  /// Bytes held for nodes and the accessor pool.
+  std::size_t memory_bytes() const {
+    return chunks_.size() * kChunk * sizeof(Slot) +
+           who_.capacity() * sizeof(Accessor) +
+           (refs_.capacity() + free_.capacity()) * sizeof(std::uint32_t);
+  }
 
   /// In-order traversal of all stored intervals: cb(lo, hi, accessor).
   template <class F>
   void for_each(F&& cb) const {
-    for_each_rec(root_, cb);
+    for (const Leaf* l = first_leaf(); l != nullptr; l = l->next) {
+      for (std::uint32_t i = 0; i < l->n; ++i) {
+        cb(l->lo[i], l->hi[i], who_[l->h[i]]);
+      }
+    }
   }
 
-  /// Verifies BST order on lo, the no-overlap invariant, and heap order.
+  /// Verifies sorted, disjoint entries inside their leaf's key range,
+  /// separators consistent with their children, uniform leaf depth, a leaf
+  /// chain matching the in-order traversal, and pool reference counts equal
+  /// to the number of live handles.
   bool check_invariants() const {
-    bool ok = true;
-    addr_t prev_hi = 0;
-    bool first = true;
-    auto visit = [&](addr_t lo, addr_t hi, const Accessor&) {
-      if (lo > hi) ok = false;
-      if (!first && lo <= prev_hi) ok = false;
-      first = false;
-      prev_hi = hi;
-    };
-    for_each_rec(root_, visit);
-    return ok && heap_ok(root_);
+    std::vector<std::uint32_t> uses(who_.size(), 0);
+    const Leaf* last = nullptr;
+    if (root_ != nullptr && !check_node(root_, 0, 0, kMaxAddr, &last, &uses)) {
+      return false;
+    }
+    if (last != nullptr && last->next != nullptr) return false;
+    std::size_t unused = 0;
+    for (std::size_t s = 0; s < who_.size(); ++s) {
+      if (refs_[s] != uses[s]) return false;
+      unused += uses[s] == 0 ? 1 : 0;
+    }
+    return unused == free_.size() &&
+           (cached_ == kNoSlot || refs_[cached_] > 0);
   }
 
  private:
-  struct Node {
-    addr_t lo = 0, hi = 0;
-    Accessor who;
-    std::uint32_t prio = 0;
-    Node* l = nullptr;
-    Node* r = nullptr;
+  static constexpr std::uint32_t kCap = 32;  // leaf entries / inner children
+  static constexpr int kMaxDepth = 16;
+  static constexpr std::size_t kChunk = 64;  // node slots per allocation
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
+  static constexpr addr_t kMaxAddr = ~addr_t(0);
+
+  struct NodeHead {
+    std::uint32_t n = 0;
+    bool leaf = false;
   };
+  struct Leaf : NodeHead {
+    Leaf* prev = nullptr;
+    Leaf* next = nullptr;
+    addr_t lo[kCap];
+    addr_t hi[kCap];
+    std::uint32_t h[kCap];  // accessor pool handle
+  };
+  struct Inner : NodeHead {
+    addr_t key[kCap];  // key[i]: lowest address routed to kid[i] (i >= 1)
+    NodeHead* kid[kCap];
+  };
+  struct alignas(8) Slot {
+    unsigned char raw[sizeof(Leaf)];  // make() asserts every node fits
+  };
+  /// An interval with its owner; `gone` marks a carved entry that left the
+  /// store (its accessor reference is dropped after the fill).
   struct Piece {
     addr_t lo, hi;
-    Accessor who;
+    std::uint32_t h;
+    bool gone;
+  };
+  /// A root-to-leaf position: the path, the leaf, the leaf's key range
+  /// [first, last], and a search hint (entries before `pos` end before the
+  /// last key sought, so searches start there).
+  struct Cursor {
+    struct Level {
+      Inner* node;
+      std::uint32_t idx;
+    };
+    Level path[kMaxDepth];
+    Leaf* leaf = nullptr;
+    addr_t first = 0, last = 0;
+    std::uint32_t pos = 0;
+  };
+  /// Entries [a, b) of the cursor leaf that a carve took out.
+  struct Hole {
+    std::uint32_t a, b;
   };
 
-  Node* make_node(addr_t lo, addr_t hi, const Accessor& a) {
-    Node* n;
-    if (free_) {
-      n = free_;
-      free_ = n->r;
-    } else {
-      if (used_ == kChunk) {
-        chunks_.push_back(alloc_chunk());
-        used_ = 0;
+  // --- navigation ----------------------------------------------------------
+
+  /// Length of the prefix of the sorted a[0, n) satisfying the monotone
+  /// predicate p (branchless binary search).
+  template <class P>
+  static std::uint32_t prefix(const addr_t* a, std::uint32_t n, P p) {
+    if (n == 0) return 0;
+    const addr_t* base = a;
+    while (n > 1) {
+      const std::uint32_t half = n / 2;
+      base = p(base[half]) ? base + half : base;
+      n -= half;
+    }
+    return std::uint32_t(base - a) + (p(*base) ? 1 : 0);
+  }
+
+  /// First entry at or after `from` ending at or after x (often `from`).
+  static std::uint32_t first_reaching(const Leaf* l, std::uint32_t from,
+                                      addr_t x) {
+    if (from == l->n || l->hi[from] >= x) return from;
+    return from + 1 + prefix(l->hi + from + 1, l->n - from - 1,
+                             [x](addr_t v) { return v < x; });
+  }
+
+  void descend(Cursor& c, addr_t x) const {
+    NodeHead* n = root_;
+    for (int d = 0; d < height_; ++d) {
+      Inner* in = static_cast<Inner*>(n);
+      const std::uint32_t i =
+          prefix(in->key + 1, in->n - 1, [x](addr_t s) { return s <= x; });
+      c.path[d] = {in, i};
+      n = in->kid[i];
+    }
+    c.leaf = static_cast<Leaf*>(n);
+    c.pos = 0;
+    bound(c);
+  }
+
+  /// Recomputes the cursor leaf's key range from its path.
+  void bound(Cursor& c) const {
+    c.first = 0;
+    c.last = kMaxAddr;
+    for (int d = 0; d < height_; ++d) {
+      const Cursor::Level& v = c.path[d];
+      if (v.idx > 0) c.first = v.node->key[v.idx];
+      if (v.idx + 1 < v.node->n) c.last = v.node->key[v.idx + 1] - 1;
+    }
+  }
+
+  /// Moves the cursor to the next leaf in address order; false at the end.
+  bool advance(Cursor& c) const {
+    int d = height_ - 1;
+    while (d >= 0 && c.path[d].idx + 1 == c.path[d].node->n) --d;
+    if (d < 0) return false;
+    ++c.path[d].idx;
+    for (; d + 1 < height_; ++d) {
+      c.path[d + 1] = {static_cast<Inner*>(c.path[d].node->kid[c.path[d].idx]),
+                       0};
+    }
+    c.leaf = static_cast<Leaf*>(c.path[d].node->kid[c.path[d].idx]);
+    c.pos = 0;
+    bound(c);
+    return true;
+  }
+
+  /// Positions c at the leaf whose key range holds x: stays put, steps one
+  /// leaf right, or descends from the root.
+  void seek(Cursor& c, addr_t x) const {
+    if (c.leaf != nullptr && x >= c.first) {
+      if (x <= c.last) return;
+      if (advance(c) && x <= c.last) return;
+    }
+    descend(c, x);
+  }
+
+  const Leaf* first_leaf() const {
+    const NodeHead* n = root_;
+    if (n == nullptr) return nullptr;
+    for (int d = 0; d < height_; ++d) n = static_cast<const Inner*>(n)->kid[0];
+    return static_cast<const Leaf*>(n);
+  }
+
+  template <class F>
+  void query_at(Cursor& c, addr_t lo, addr_t hi, F& cb) const {
+    if (root_ == nullptr) return;
+    seek(c, lo);
+    const Leaf* l = c.leaf;
+    std::uint32_t i = c.pos = first_reaching(l, c.pos, lo);
+    for (;;) {
+      for (; i < l->n; ++i) {
+        if (l->lo[i] > hi) return;
+        cb(l->lo[i] > lo ? l->lo[i] : lo, l->hi[i] < hi ? l->hi[i] : hi,
+           who_[l->h[i]]);
       }
-      n = &chunks_.back()[used_++];
+      // Entries right of the cursor leaf's range start after c.last.
+      if (hi <= c.last || (l = l->next) == nullptr) return;
+      i = 0;
     }
-    n->lo = lo;
-    n->hi = hi;
-    n->who = a;
-    n->prio = static_cast<std::uint32_t>(rng_.next());
-    n->l = n->r = nullptr;
-    return n;
-  }
-  void release(Node* n) {
-    n->r = free_;
-    free_ = n;
   }
 
-  /// Node chunks are recycled raw through the process-wide SlabSource when
-  /// the arena knob was on at construction (DESIGN.md §13); nodes are
-  /// placement-constructed into the recycled block, and the trivial
-  /// destructor makes the wholesale give-back in ~IntervalTreap safe.
-  Node* alloc_chunk() {
-    static_assert(std::is_trivially_destructible_v<Node>);
-    if (!use_arena_) return new Node[kChunk];
-    void* raw = support::SlabSource::instance().take(sizeof(Node) * kChunk);
-    Node* arr = static_cast<Node*>(raw);
-    for (std::size_t i = 0; i < kChunk; ++i) ::new (arr + i) Node();
-    return arr;
+  // --- mutation ------------------------------------------------------------
+
+  /// Takes [lo, hi] out of the store, leaving the cursor at the hole where
+  /// its new pieces belong.  Overlapped segment parts land in scratch_,
+  /// trimmed, in address order; a boundary entry keeps its outside part in
+  /// place, and an entry strictly containing [lo, hi] leaves its tail in
+  /// rest_ for fill() to re-insert.  An erase (`record` false) has no one
+  /// to report to: it drops carved entries' references on the spot.
+  Hole carve(addr_t lo, addr_t hi, bool record = true) {
+    scratch_.clear();
+    rest_.h = kNoSlot;
+    if (root_ == nullptr) {
+      root_ = make<Leaf>();
+      height_ = 0;
+    }
+    if (c_.leaf != nullptr && lo > c_.last) close_gap();
+    seek(c_, lo);
+    Leaf* l = c_.leaf;
+    std::uint32_t i = first_reaching(l, c_.pos + gap_, lo);
+    if (i < l->n && l->lo[i] < lo) {  // entry straddles lo: keep its head
+      const addr_t ehi = l->hi[i];
+      if (record) {
+        scratch_.push_back({lo, ehi < hi ? ehi : hi, l->h[i], false});
+      }
+      l->hi[i] = lo - 1;
+      ++i;
+      if (ehi > hi) {
+        rest_ = {hi + 1, ehi, l->h[i - 1], false};
+        return {i, i};
+      }
+    }
+    const std::uint32_t j = carve_head(l, i, hi, record);
+    if (j == l->n && hi > c_.last) carve_beyond(hi, record);
+    return {i, j};
   }
 
-  void push_piece(addr_t lo, addr_t hi, const Accessor& w) {
-    push_piece_from(0, lo, hi, w);
+  /// Carves the entries of l from index i that start at or before hi; the
+  /// last one keeps its part past hi in place.  Returns the end of the run
+  /// of entries that left the store.
+  std::uint32_t carve_head(Leaf* l, std::uint32_t i, addr_t hi,
+                           bool record) {
+    for (; i < l->n && l->lo[i] <= hi; ++i) {
+      const bool whole = l->hi[i] <= hi;
+      if (record) {
+        scratch_.push_back({l->lo[i], whole ? l->hi[i] : hi, l->h[i], whole});
+      } else if (whole) {
+        unref(l->h[i]);
+      }
+      if (!whole) {
+        l->lo[i] = hi + 1;
+        break;
+      }
+    }
+    return i;
   }
 
-  /// push_piece whose coalescing never reaches below index `floor`: the run
-  /// paths set floor to the current interval's first piece, so coalescing
-  /// stays within one interval (bit-identical to per-interval inserts).
-  void push_piece_from(std::size_t floor, addr_t lo, addr_t hi,
-                       const Accessor& w) {
-    if (pieces_out_.size() > floor && pieces_out_.back().who.sid == w.sid &&
-        pieces_out_.back().hi + 1 == lo) {
-      pieces_out_.back().hi = hi;  // coalesce same-winner neighbours
+  /// carve() reached the end of its leaf with [lo, hi] running past the
+  /// leaf's key range: carves the head of the following leaves (dropping
+  /// the ones it empties), then raises the separator past hi so the pieces
+  /// about to land in the cursor leaf do not straddle it.
+  void carve_beyond(addr_t hi, bool record) {
+    for (Leaf* l = c_.leaf->next; l != nullptr && l->lo[0] <= hi;) {
+      const addr_t key = l->lo[0];
+      const std::uint32_t j = carve_head(l, 0, hi, record);
+      if (j < l->n) {
+        shift(l, j, 0, l->n - j);
+        l->n -= j;
+        break;
+      }
+      Leaf* next = l->next;
+      Cursor t;
+      descend(t, key);
+      drop_leaf(t);  // only nodes right of c_'s path go: c_ stays valid
+      l = next;
+    }
+    for (int d = height_ - 1; d >= 0; --d) {
+      const Cursor::Level& v = c_.path[d];
+      if (v.idx + 1 < v.node->n) {
+        addr_t& sep = v.node->key[v.idx + 1];
+        if (sep <= hi) sep = hi + 1;  // hi < kMaxAddr: a leaf follows
+        c_.last = sep - 1;
+        return;
+      }
+    }
+    c_.last = kMaxAddr;
+  }
+
+  /// Stores out_ (then rest_) in the hole and settles accessor references.
+  /// Slots the pieces do not need stay behind as the gap [pos, pos + gap_)
+  /// instead of shifting the leaf's tail down: the run's next hole in this
+  /// leaf slides only the survivors in between over it, so a sweep moves
+  /// each entry once per leaf rather than once per interval.  The gap never
+  /// outlives the operation: carve() closes it before leaving the leaf, and
+  /// erase_run() and unpin() close it at the end.
+  void fill(Hole hole) {
+    const std::uint32_t keep = std::uint32_t(out_.size());
+    if (rest_.h != kNoSlot) out_.push_back(rest_);
+    for (const Piece& p : out_) ++refs_[p.h];
+    for (const Piece& p : scratch_) {
+      if (p.gone) unref(p.h);
+    }
+    Leaf* l = c_.leaf;
+    if (gap_ != 0) {  // merge the gap into this hole
+      shift(l, c_.pos + gap_, c_.pos, hole.a - c_.pos - gap_);
+      hole.a -= gap_;
+      gap_ = 0;
+    }
+    const std::uint32_t put = std::uint32_t(out_.size());
+    const std::uint32_t room = hole.b - hole.a;
+    const std::uint32_t live = l->n - room + put;
+    if (live > kCap) {
+      spill(l, hole);
+      return;
+    }
+    if (put > room) {
+      shift(l, hole.b, hole.a + put, l->n - hole.b);
+      l->n = live;
     } else {
-      pieces_out_.push_back({lo, hi, w});
+      gap_ = room - put;
+    }
+    for (std::uint32_t x = 0; x < put; ++x) set(l, hole.a + x, out_[x]);
+    c_.pos = hole.a + put;
+    if (live == 0) {
+      gap_ = 0;
+      drop_leaf(c_);
+    } else if (keep < put) {
+      close_gap();  // rest_ may overlap the next interval: keep it in view
+      c_.pos = hole.a + keep;
     }
   }
 
-  /// Sparse-run guard for the bulk paths.  The run apply carves (or, for
-  /// erase, sweeps) the WHOLE span [iv[0].lo, iv[k-1].hi], materializing
-  /// every stored segment in between - O(span contents) per run.  A run
-  /// whose intervals cover only a sliver of that span (strided access over
-  /// a large array, e.g. fft's butterfly reads) turns this quadratic:
-  /// every run rebuilds the bulk of the treap.  Those runs go through the
-  /// per-interval path instead - k root walks, O(k log n), never
-  /// catastrophic - which is bit-identical by the §10 equivalence.  The
-  /// bar is covered > span/4: the coalesced-record shapes the bulk path
-  /// exists for sit at 50-100% density, strided patterns orders below it.
-  template <class Iv>
-  static bool run_is_dense(const Iv* iv, std::size_t k) {
-    const addr_t need = (iv[k - 1].hi - iv[0].lo) / 4;
-    addr_t covered = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      covered += iv[j].hi - iv[j].lo + 1;
-      if (covered > need) return true;  // early out: dense runs scan a few
+  void close_gap() {
+    if (gap_ == 0) return;
+    Leaf* l = c_.leaf;
+    shift(l, c_.pos + gap_, c_.pos, l->n - c_.pos - gap_);
+    l->n -= gap_;
+    gap_ = 0;
+  }
+
+  /// fill() overflow: spreads the leaf's new contents evenly over as many
+  /// leaves as needed, linking each new leaf in after its left neighbour.
+  void spill(Leaf* l, Hole hole) {
+    buf_.clear();
+    auto entry = [l](std::uint32_t x) {
+      return Piece{l->lo[x], l->hi[x], l->h[x], false};
+    };
+    for (std::uint32_t x = 0; x < hole.a; ++x) buf_.push_back(entry(x));
+    buf_.insert(buf_.end(), out_.begin(), out_.end());
+    for (std::uint32_t x = hole.b; x < l->n; ++x) buf_.push_back(entry(x));
+    const std::size_t m = buf_.size(), parts = (m + kCap - 1) / kCap;
+    for (std::size_t part = 0, from = 0; part < parts; ++part) {
+      const std::size_t to = m * (part + 1) / parts;
+      Leaf* dst = l;
+      if (part > 0) {
+        dst = make<Leaf>();
+        dst->prev = l;
+        dst->next = l->next;
+        if (l->next != nullptr) l->next->prev = dst;
+        l->next = dst;
+        insert_kid(c_, height_ - 1, buf_[from].lo, dst);
+        descend(c_, buf_[from].lo);
+      }
+      for (std::size_t x = from; x < to; ++x) {
+        set(dst, std::uint32_t(x - from), buf_[x]);
+      }
+      dst->n = std::uint32_t(to - from);
+      l = dst;
+      from = to;
     }
-    return false;
+    c_.leaf = nullptr;  // splits reshape paths: the next seek descends
+  }
+
+  /// Inserts (key, kid) right after path[d]'s child, splitting full nodes
+  /// upward; d < 0 grows a new root.
+  void insert_kid(Cursor& c, int d, addr_t key, NodeHead* kid) {
+    if (d < 0) {
+      PINT_ASSERT(height_ + 1 < kMaxDepth);
+      Inner* r = make<Inner>();
+      r->n = 2;
+      r->kid[0] = root_;
+      r->kid[1] = kid;
+      r->key[1] = key;
+      root_ = r;
+      ++height_;
+      return;
+    }
+    Inner* x = c.path[d].node;
+    std::uint32_t at = c.path[d].idx + 1;
+    if (x->n == kCap) {
+      constexpr std::uint32_t half = kCap / 2;
+      Inner* y = make<Inner>();
+      std::memcpy(y->key, x->key + half, (kCap - half) * sizeof(addr_t));
+      std::memcpy(y->kid, x->kid + half, (kCap - half) * sizeof(NodeHead*));
+      y->n = kCap - half;
+      x->n = half;
+      insert_kid(c, d - 1, y->key[0], y);
+      if (at > half) {
+        x = y;
+        at -= half;
+      }
+    }
+    std::memmove(x->key + at + 1, x->key + at, (x->n - at) * sizeof(addr_t));
+    std::memmove(x->kid + at + 1, x->kid + at, (x->n - at) * sizeof(NodeHead*));
+    x->key[at] = key;
+    x->kid[at] = kid;
+    ++x->n;
+  }
+
+  /// Unlinks and frees the (empty) cursor leaf and every ancestor it leaves
+  /// empty; a neighbour absorbs its key range.  Invalidates the cursor.
+  void drop_leaf(Cursor& c) {
+    Leaf* l = c.leaf;
+    if (l->prev != nullptr) l->prev->next = l->next;
+    if (l->next != nullptr) l->next->prev = l->prev;
+    release(l);
+    c.leaf = nullptr;
+    for (int d = height_ - 1; d >= 0; --d) {
+      Inner* x = c.path[d].node;
+      if (x->n > 1) {
+        const std::uint32_t i = c.path[d].idx;
+        const std::uint32_t k = i == 0 ? 1 : i;  // separator that goes
+        std::memmove(x->key + k, x->key + k + 1,
+                     (x->n - k - 1) * sizeof(addr_t));
+        std::memmove(x->kid + i, x->kid + i + 1,
+                     (x->n - i - 1) * sizeof(NodeHead*));
+        --x->n;
+        return;
+      }
+      release(x);
+    }
+    root_ = nullptr;
+    height_ = 0;
+  }
+
+  void collapse_root() {
+    while (height_ > 0 && root_->n == 1) {
+      NodeHead* only = static_cast<Inner*>(root_)->kid[0];
+      release(root_);
+      root_ = only;
+      --height_;
+    }
+  }
+
+  static void shift(Leaf* l, std::uint32_t from, std::uint32_t to,
+                    std::uint32_t count) {
+    if (count == 0) return;
+    std::memmove(l->lo + to, l->lo + from, count * sizeof(addr_t));
+    std::memmove(l->hi + to, l->hi + from, count * sizeof(addr_t));
+    std::memmove(l->h + to, l->h + from, count * sizeof(std::uint32_t));
+  }
+  static void set(Leaf* l, std::uint32_t i, const Piece& p) {
+    l->lo[i] = p.lo;
+    l->hi[i] = p.hi;
+    l->h[i] = p.h;
+  }
+
+  /// Reader cover builder: adjacent same-winner pieces coalesce (out_ holds
+  /// one interval's pieces only, so this never crosses an interval).
+  void push_piece(addr_t lo, addr_t hi, std::uint32_t h) {
+    if (!out_.empty() && out_.back().hi + 1 == lo &&
+        who_[out_.back().h].sid == who_[h].sid) {
+      out_.back().hi = hi;
+    } else {
+      out_.push_back({lo, hi, h, false});
+    }
   }
 
   template <class Iv>
-  static void assert_run_sorted(const Iv* iv, std::size_t k) {
+  static void assert_run_sorted([[maybe_unused]] const Iv* iv,
+                                [[maybe_unused]] std::size_t k) {
 #ifndef NDEBUG
     for (std::size_t j = 0; j < k; ++j) {
       PINT_ASSERT(iv[j].lo <= iv[j].hi);
       if (j > 0) PINT_ASSERT(iv[j - 1].hi < iv[j].lo);
     }
-#else
-    (void)iv;
-    (void)k;
 #endif
   }
 
-  /// Run-sweep helper: emits keep pieces (original owner, no coalescing -
-  /// they were distinct nodes and must stay distinct) for stored coverage
-  /// strictly before `lo`.  *si / *seg_lo are the sweep frontier: the
-  /// current scratch_ segment and the first not-yet-consumed byte in it.
-  void sweep_keep_before(addr_t lo, std::size_t* si, addr_t* seg_lo) {
-    while (*si < scratch_.size() && scratch_[*si].hi < lo) {
-      pieces_out_.push_back({*seg_lo, scratch_[*si].hi, scratch_[*si].who});
-      ++*si;
-      if (*si < scratch_.size()) *seg_lo = scratch_[*si].lo;
-    }
-    if (*si < scratch_.size() && *seg_lo < lo) {
-      pieces_out_.push_back({*seg_lo, lo - 1, scratch_[*si].who});
-      *seg_lo = lo;
-    }
+  // --- accessor pool -------------------------------------------------------
+
+  static bool same(const Accessor& x, const Accessor& y) {
+    return x.sid == y.sid && x.lsid == y.lsid && x.tag == y.tag &&
+           x.label.tail == y.label.tail && x.label.frozen == y.label.frozen &&
+           x.label.bits == y.label.bits && x.label.live == y.label.live;
   }
 
-  /// Appends a node (strictly increasing key) to the right-spine stack.
-  /// The tie rule (pop only on strictly greater priority) matches merge()'s
-  /// `a->prio >= b->prio`, so heap_ok's strict check holds - for any node
-  /// priorities, including reused ones.
-  void spine_push(Node* n) {
-    n->l = n->r = nullptr;
-    Node* last_popped = nullptr;
-    while (!spine_.empty() && spine_.back()->prio < n->prio) {
-      last_popped = spine_.back();
-      spine_.pop_back();
-    }
-    n->l = last_popped;
-    if (!spine_.empty()) spine_.back()->r = n;
-    spine_.push_back(n);
-  }
-
-  /// Builds a treap from the sorted, disjoint pieces_out_ in O(m) with the
-  /// right-spine stack.
-  Node* build_sorted() {
-    spine_.clear();
-    for (const Piece& p : pieces_out_) spine_push(make_node(p.lo, p.hi, p.who));
-    return spine_.empty() ? nullptr : spine_.front();
-  }
-
-  /// erase_run zipper: in-order walk of the span's nodes, sweeping each
-  /// against the run (n->r is captured first - the segment handler may
-  /// relink or release the node).
-  template <class Iv>
-  void erase_sweep(Node* n, const Iv* iv, std::size_t k, std::size_t* j) {
-    if (!n) return;
-    erase_sweep(n->l, iv, k, j);
-    Node* r = n->r;
-    erase_sweep_segment(n->lo, n->hi, n->who, n, iv, k, j);
-    erase_sweep(r, iv, k, j);
-  }
-
-  /// Emits the parts of segment [slo, shi] not covered by the run onto the
-  /// spine, reusing `reuse` (may be null) for the first surviving part and
-  /// releasing it if nothing survives.  *j advances monotonically.
-  template <class Iv>
-  void erase_sweep_segment(addr_t slo, addr_t shi, const Accessor& who,
-                           Node* reuse, const Iv* iv, std::size_t k,
-                           std::size_t* j) {
-    addr_t cur = slo;
-    for (;;) {
-      while (*j < k && iv[*j].hi < cur) ++*j;
-      if (*j == k || iv[*j].lo > shi) {  // remainder survives whole
-        emit_kept(cur, shi, who, &reuse);
-        break;
+  /// Starts an operation for `a`: interns it (the one-entry cache keyed on
+  /// sid covers a strand's consecutive operations) and holds a reference
+  /// until unpin(), so the slot survives the carve of its own intervals.
+  /// Each operation's first interval descends from the root.
+  std::uint32_t pin(const Accessor& a) {
+    c_.leaf = nullptr;
+    if (cached_ == kNoSlot || !same(who_[cached_], a)) {
+      if (free_.empty()) {
+        cached_ = std::uint32_t(who_.size());
+        who_.push_back(a);
+        refs_.push_back(0);
+      } else {
+        cached_ = free_.back();
+        free_.pop_back();
+        who_[cached_] = a;
       }
-      if (iv[*j].lo > cur) emit_kept(cur, iv[*j].lo - 1, who, &reuse);
-      const addr_t stop = shi < iv[*j].hi ? shi : iv[*j].hi;
-      if (stop == shi) break;  // covered to the end (also avoids hi+1 wrap)
-      cur = stop + 1;
     }
-    if (reuse) release(reuse);
+    ++refs_[cached_];
+    return cached_;
+  }
+  void unpin(std::uint32_t h) {
+    unref(h);
+    close_gap();
+    collapse_root();
+  }
+  void unref(std::uint32_t h) {
+    if (--refs_[h] != 0) return;
+    free_.push_back(h);
+    if (h == cached_) cached_ = kNoSlot;
   }
 
-  void emit_kept(addr_t lo, addr_t hi, const Accessor& who, Node** reuse) {
-    Node* n = *reuse;
-    if (n) {
-      *reuse = nullptr;
-      n->lo = lo;
-      n->hi = hi;
+  // --- node memory ---------------------------------------------------------
+
+  /// Node slots are carved from chunks recycled raw through the
+  /// process-wide SlabSource when the arena knob was on at construction
+  /// (DESIGN.md §13); the trivial destructors make the wholesale give-back
+  /// in ~IntervalTreap safe.
+  template <class T>
+  T* make() {
+    static_assert(std::is_trivially_destructible_v<T> &&
+                  sizeof(T) <= sizeof(Slot));
+    void* s;
+    if (!spare_.empty()) {
+      s = spare_.back();
+      spare_.pop_back();
     } else {
-      n = make_node(lo, hi, who);
-    }
-    spine_push(n);
-  }
-
-  /// Splits by key: a = nodes with node.lo < k, b = the rest.  Iterative
-  /// top-down descent (the treap ops are the history lanes' hot loop, and
-  /// the recursive form pays a call frame per level).
-  static void split(Node* t, addr_t k, Node** a, Node** b) {
-    while (t) {
-      if (t->lo < k) {
-        *a = t;
-        a = &t->r;
-        t = t->r;
-      } else {
-        *b = t;
-        b = &t->l;
-        t = t->l;
-      }
-    }
-    *a = nullptr;
-    *b = nullptr;
-  }
-
-  /// Iterative merge; the priority tie rule (left wins on >=) matches the
-  /// recursive original, so shapes are unchanged.
-  static Node* merge(Node* a, Node* b) {
-    if (!a) return b;
-    if (!b) return a;
-    Node* root;
-    Node** link = &root;
-    for (;;) {
-      if (a->prio >= b->prio) {
-        *link = a;
-        link = &a->r;
-        a = a->r;
-        if (!a) {
-          *link = b;
-          break;
+      if (used_ == kChunk) {
+        const std::size_t bytes = sizeof(Slot) * kChunk;
+        if (use_arena_) {
+          chunks_.push_back(static_cast<Slot*>(
+              support::SlabSource::instance().take(bytes)));
+        } else {
+          chunks_.push_back(new Slot[kChunk]);
         }
-      } else {
-        *link = b;
-        link = &b->l;
-        b = b->l;
-        if (!b) {
-          *link = a;
-          break;
+        used_ = 0;
+      }
+      s = chunks_.back() + used_++;
+    }
+    T* n = ::new (s) T();
+    n->leaf = std::is_same_v<T, Leaf>;
+    return n;
+  }
+  void release(NodeHead* n) { spare_.push_back(n); }
+
+  bool check_node(const NodeHead* n, int depth, addr_t first, addr_t last,
+                  const Leaf** prev, std::vector<std::uint32_t>* uses) const {
+    if (n->n == 0 || n->n > kCap || n->leaf != (depth == height_)) return false;
+    if (!n->leaf) {
+      const Inner* x = static_cast<const Inner*>(n);
+      for (std::uint32_t i = 0; i < x->n; ++i) {
+        if (i > 0 && (x->key[i] <= first || x->key[i] > last)) return false;
+        const addr_t f = i > 0 ? x->key[i] : first;
+        const addr_t l = i + 1 < x->n ? x->key[i + 1] - 1 : last;
+        if (f > l || !check_node(x->kid[i], depth + 1, f, l, prev, uses)) {
+          return false;
         }
       }
+      return true;
     }
-    return root;
-  }
-
-  /// Detaches the maximum-key node. Heap order survives because the removed
-  /// node's left child has a smaller priority than the removed node, hence
-  /// than the parent too.
-  static Node* detach_max(Node** t) {
-    if (!*t) return nullptr;
-    Node** link = t;
-    while ((*link)->r) link = &(*link)->r;
-    Node* m = *link;
-    *link = m->l;
-    m->l = nullptr;
-    return m;
-  }
-
-  /// Builds the winner cover of [lo, hi] from the current scratch_ (the
-  /// just-carved overlapped segments): gaps take `a`, overlapped segments go
-  /// through `resolve`, adjacent same-winner pieces coalesce.  Returns the
-  /// merged middle tree.  Shared by insert_reader and the sparse run apply.
-  template <class R>
-  Node* reader_cover(addr_t lo, addr_t hi, const Accessor& a, R& resolve) {
-    pieces_out_.clear();
-    addr_t cursor = lo;
-    bool covered_to_hi = false;
-    for (const Piece& p : scratch_) {
-      if (p.lo > cursor) push_piece(cursor, p.lo - 1, a);
-      const Accessor& w = resolve(p.who, a) ? a : p.who;
-      push_piece(p.lo, p.hi, w);
-      if (p.hi == hi) {  // avoids the hi+1 wrap when hi == kMaxAddr
-        covered_to_hi = true;
-        break;
+    const Leaf* l = static_cast<const Leaf*>(n);
+    if (l->prev != *prev || (*prev != nullptr && (*prev)->next != l)) {
+      return false;
+    }
+    *prev = l;
+    for (std::uint32_t i = 0; i < l->n; ++i) {
+      if (l->lo[i] > l->hi[i] || l->lo[i] < first || l->hi[i] > last) {
+        return false;
       }
-      cursor = p.hi + 1;
+      if (i > 0 && l->lo[i] <= l->hi[i - 1]) return false;
+      if (l->h[i] >= uses->size()) return false;
+      ++(*uses)[l->h[i]];
     }
-    if (!covered_to_hi && cursor <= hi) push_piece(cursor, hi, a);
-    Node* mid = nullptr;
-    for (const Piece& p : pieces_out_) mid = merge(mid, make_node(p.lo, p.hi, p.who));
-    return mid;
+    return true;
   }
 
-  /// Removes everything overlapping [lo, hi] from the tree, records the
-  /// overlapped segments (trimmed to [lo, hi]) into scratch_ in address
-  /// order, and reattaches truncated boundary remainders to *left / *right.
-  void carve(addr_t lo, addr_t hi, Node** left, Node** right) {
-    carve_tree(&root_, lo, hi, left, right);
-  }
-
-  /// carve() generalized over an arbitrary subtree: the sparse run paths
-  /// carve each interval out of the shrinking right remainder instead of
-  /// re-splitting the whole tree from the root per interval.  The caller
-  /// guarantees every node left of the carve window that could straddle it
-  /// is inside *tree (true for the frontier apply: processed intervals all
-  /// end strictly before the next interval's lo).
-  void carve_tree(Node** tree, addr_t lo, addr_t hi, Node** left,
-                  Node** right) {
-    scratch_.clear();
-    Node *a, *b;
-    split(*tree, lo, &a, &b);
-    *tree = nullptr;
-    Node* rightrem = nullptr;
-
-    Node* pred = detach_max(&a);
-    if (pred) {
-      if (pred->hi < lo) {
-        a = merge(a, pred);  // no overlap; put back
-      } else {
-        scratch_.push_back({lo, pred->hi < hi ? pred->hi : hi, pred->who});
-        if (pred->lo < lo) {
-          Node* lr = make_node(pred->lo, lo - 1, pred->who);
-          a = merge(a, lr);
-        }
-        if (pred->hi > hi) rightrem = make_node(hi + 1, pred->hi, pred->who);
-        release(pred);
-      }
-    }
-
-    Node *m, *c;
-    split(b, hi == kMaxAddr ? kMaxAddr : hi + 1, &m, &c);
-    if (hi == kMaxAddr && c) {
-      // hi+1 would wrap; nothing can start after kMaxAddr anyway.
-      m = merge(m, c);
-      c = nullptr;
-    }
-    collect_overlaps(m, hi, &rightrem);
-    *left = a;
-    *right = merge(rightrem, c);
-  }
-
-  /// In-order walk of the middle tree: all nodes have lo in [lo, hi]; trim
-  /// the last one's tail past hi into *rightrem; release the nodes.
-  void collect_overlaps(Node* n, addr_t hi, Node** rightrem) {
-    if (!n) return;
-    collect_overlaps(n->l, hi, rightrem);
-    scratch_.push_back({n->lo, n->hi < hi ? n->hi : hi, n->who});
-    if (n->hi > hi) {
-      PINT_ASSERT(*rightrem == nullptr);  // only the last node can spill over
-      *rightrem = make_node(hi + 1, n->hi, n->who);
-    }
-    Node* r = n->r;
-    release(n);
-    collect_overlaps(r, hi, rightrem);
-  }
-
-  /// Multi-range query walk for sorted disjoint runs: *j is the frontier
-  /// (first interval whose hi the walk has not passed).  A left subtree is
-  /// pruned when every remaining interval starts at/after n->lo (disjoint
-  /// segments mean the whole left subtree ends before n->lo); the right
-  /// subtree is pruned once the frontier is exhausted.
-  template <class Iv, class F>
-  static void query_multi(const Node* n, const Iv* iv, std::size_t k,
-                          std::size_t* j, F& cb) {
-    if (!n || *j >= k) return;
-    if (iv[*j].lo < n->lo) query_multi(n->l, iv, k, j, cb);
-    while (*j < k && iv[*j].hi < n->lo) ++*j;
-    for (std::size_t x = *j; x < k && iv[x].lo <= n->hi; ++x) {
-      cb(iv[x].lo > n->lo ? iv[x].lo : n->lo,
-         iv[x].hi < n->hi ? iv[x].hi : n->hi, n->who);
-    }
-    if (*j >= k) return;
-    query_multi(n->r, iv, k, j, cb);
-  }
-
-  template <class F>
-  static void query_rec(const Node* n, addr_t lo, addr_t hi, F& cb) {
-    if (!n) return;
-    if (n->lo > hi) {  // n and its right subtree start after the range
-      query_rec(n->l, lo, hi, cb);
-      return;
-    }
-    if (n->hi < lo) {  // n and its left subtree end before the range
-      query_rec(n->r, lo, hi, cb);
-      return;
-    }
-    query_rec(n->l, lo, hi, cb);
-    cb(n->lo > lo ? n->lo : lo, n->hi < hi ? n->hi : hi, n->who);
-    query_rec(n->r, lo, hi, cb);
-  }
-
-  template <class F>
-  static void for_each_rec(const Node* n, F& cb) {
-    if (!n) return;
-    for_each_rec(n->l, cb);
-    cb(n->lo, n->hi, n->who);
-    for_each_rec(n->r, cb);
-  }
-
-  static std::size_t count_rec(const Node* n) {
-    return n ? 1 + count_rec(n->l) + count_rec(n->r) : 0;
-  }
-
-  static bool heap_ok(const Node* n) {
-    if (!n) return true;
-    if (n->l && n->l->prio > n->prio) return false;
-    if (n->r && n->r->prio > n->prio) return false;
-    return heap_ok(n->l) && heap_ok(n->r);
-  }
-
-  static constexpr addr_t kMaxAddr = ~addr_t(0);
-  static constexpr std::size_t kChunk = 512;
-
-  Node* root_ = nullptr;
-  Xoshiro256 rng_;
+  NodeHead* root_ = nullptr;
+  int height_ = 0;  // inner levels above the leaves
   bool use_arena_ = false;
-  Node* free_ = nullptr;
-  std::vector<Node*> chunks_;
+  std::vector<Slot*> chunks_;
   std::size_t used_ = kChunk;
-  std::vector<Piece> scratch_;
-  std::vector<Piece> pieces_out_;
-  std::vector<Node*> spine_;  // build_sorted() right spine
+  std::vector<NodeHead*> spare_;
+  Cursor c_;  // mutation cursor
+  std::uint32_t gap_ = 0;  // dead slots at c_.pos in c_.leaf (see fill())
+  std::vector<Piece> scratch_, out_, buf_;
+  Piece rest_{};  // tail split off by carve(); h == kNoSlot when none
+  std::vector<Accessor> who_;  // accessor pool
+  std::vector<std::uint32_t> refs_, free_;
+  std::uint32_t cached_ = kNoSlot;
 };
 
 }  // namespace pint::treap

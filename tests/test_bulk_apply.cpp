@@ -79,10 +79,10 @@ std::vector<Iv> random_run(Xoshiro256& rng, std::uint64_t span) {
 TEST(TreapRunApi, RandomizedRunsMatchPerRecordExactly) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     Xoshiro256 rng(seed);
-    // Same treap seed: node priorities may still diverge (run apply rebuilds
-    // gap nodes, consuming the RNG differently), but contents, callback
-    // order and invariants must not.
-    treap::IntervalTreap per(seed * 977), run(seed * 977);
+    // The run twin reuses its cursor across intervals (and splits/drops
+    // leaves at other moments than the per-record twin), but contents,
+    // callback order and invariants must not diverge.
+    treap::IntervalTreap per, run;
     std::vector<Ev> ev_per, ev_run;
     auto log_to = [](std::vector<Ev>& ev, char tag) {
       return [&ev, tag](auto lo, auto hi, const auto& w) {
@@ -140,15 +140,14 @@ TEST(TreapRunApi, RandomizedRunsMatchPerRecordExactly) {
 }
 
 /// Strided runs: tiny intervals with gaps orders of magnitude wider (the
-/// fft butterfly shape).  These take the sparse dispatch in every *_run -
-/// the per-interval path instead of the span carve (DESIGN.md §11.3) - and
-/// must stay indistinguishable from the per-record twin while the treap's
-/// gap coverage (written by interleaved DENSE runs, which stay on the
-/// carve) sits inside every sparse span.
+/// fft butterfly shape).  Their intervals land in different leaves, so the
+/// run cursor steps or re-descends between them (DESIGN.md §11.3), and must
+/// stay indistinguishable from the per-record twin while the store's gap
+/// coverage (written by interleaved dense runs) sits inside every span.
 TEST(TreapRunApi, SparseStridedRunsMatchPerRecordExactly) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Xoshiro256 rng(seed);
-    treap::IntervalTreap per(seed * 1663), run(seed * 1663);
+    treap::IntervalTreap per, run;
     std::vector<Ev> ev_per, ev_run;
     auto log_to = [](std::vector<Ev>& ev, char tag) {
       return [&ev, tag](auto lo, auto hi, const auto& w) {
@@ -241,7 +240,7 @@ TEST(TreapRunApi, RunsEndingAtMaxAddrMatchPerRecord) {
   const Iv run[] = {{kMaxAddr - 300, kMaxAddr - 201},
                     {kMaxAddr - 100, kMaxAddr}};
   for (const bool reader : {false, true}) {
-    treap::IntervalTreap per(5), bulk(5);
+    treap::IntervalTreap per, bulk;
     for (treap::IntervalTreap* t : {&per, &bulk}) {
       t->insert_writer(kMaxAddr - 350, kMaxAddr - 250, acc(1),
                        [](auto, auto, const auto&) {});
@@ -303,7 +302,7 @@ TEST(TreapRunApi, ReaderRunNeverCoalescesAcrossIntervalBoundaries) {
   // calls leave k nodes (coalescing is per-call), so the run variant must
   // too - this is what keeps final contents bit-identical.
   const Iv run[] = {{0, 63}, {64, 127}, {128, 191}};
-  treap::IntervalTreap per(9), bulk(9);
+  treap::IntervalTreap per, bulk;
   for (const Iv& iv : run) {
     per.insert_reader(iv.lo, iv.hi, acc(1),
                       [](const auto&, const auto&) { return true; });
@@ -314,7 +313,7 @@ TEST(TreapRunApi, ReaderRunNeverCoalescesAcrossIntervalBoundaries) {
   EXPECT_EQ(contents(per), contents(bulk));
   // Within one interval coalescing still applies: fragmented prior coverage
   // resolved to one winner collapses to one node either way.
-  treap::IntervalTreap frag(11);
+  treap::IntervalTreap frag;
   frag.insert_writer(200, 219, acc(2), [](auto, auto, const auto&) {});
   frag.insert_writer(230, 249, acc(3), [](auto, auto, const auto&) {});
   const Iv one[] = {{200, 259}};

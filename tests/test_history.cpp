@@ -220,7 +220,7 @@ TEST(ShardedHistory, MatchesRoleWorkersOnScriptedStrands) {
   for (int variant = 0; variant < 6; ++variant) {
     HistoryFixture fx_a, fx_b;
     treap::IntervalTreap w, l, r;
-    pintd::HistoryShard s0(1, 2, 3), s1(4, 5, 6), s2(7, 8, 9);
+    pintd::HistoryShard s0, s1, s2;
     pintd::HistoryShard* shards[3] = {&s0, &s1, &s2};
 
     auto drive = [&](HistoryFixture& fx, auto&& apply) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -139,6 +140,32 @@ TEST(Treap, EraseAllLeavesEmpty) {
   }
   t.erase_range(0, 10000);
   EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.live_accessors(), 0u);
+}
+
+TEST(Treap, EraseAllCoverageReleasesEveryAccessor) {
+  // Thousands of intervals from hundreds of accessors span many leaves and
+  // inner nodes; erasing them piecewise must free every node level and
+  // every interned accessor slot.  Each accessor's inserts are consecutive,
+  // as a strand's are, so the pool's one-entry cache interns it once.
+  IntervalTreap t;
+  for (std::uint64_t i = 0; i < 6000; ++i) {
+    t.insert_writer(i * 16, i * 16 + 7, acc(1 + i / 20),
+                    [](auto, auto, const auto&) {});
+  }
+  EXPECT_EQ(t.live_accessors(), 300u);
+  ASSERT_TRUE(t.check_invariants());
+  for (std::uint64_t lo = 0; lo < 6000 * 16; lo += 4096) {
+    t.erase_range(lo, lo + 4095);
+    ASSERT_TRUE(t.check_invariants()) << "lo=" << lo;
+  }
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.live_accessors(), 0u);
+  // The store is reusable after emptying.
+  t.insert_writer(5, 9, acc(7), [](auto, auto, const auto&) {});
+  EXPECT_EQ(contents(t), (std::vector<Seg>{{5, 9, 7}}));
+  EXPECT_EQ(t.live_accessors(), 1u);
 }
 
 TEST(Treap, ReaderInsertSeriesReplaces) {
@@ -196,7 +223,7 @@ TEST(Treap, SingleByteIntervals) {
 TEST(Treap, PropertyWriterMatchesByteModel) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Xoshiro256 rng(seed);
-    IntervalTreap t(seed);
+    IntervalTreap t;
     ByteModel m;
     constexpr std::uint64_t kSpan = 2000;
     for (int op = 0; op < 3000; ++op) {
@@ -251,4 +278,182 @@ TEST(Treap, PropertyNoOverlapInvariantUnderChurn) {
     }
   }
   EXPECT_TRUE(t.check_invariants());
+}
+
+namespace {
+
+struct Iv {
+  std::uint64_t lo, hi;
+};
+
+bool resolve_by_sid(const Accessor& prev, const Accessor& a) {
+  return ((prev.sid * 31 + a.sid) & 1) == 0;
+}
+
+/// Byte-owner model over [0, span): 0 = uncovered.
+struct FlatModel {
+  explicit FlatModel(std::uint64_t span) : owner(span, 0) {}
+  void write(const Iv& v, std::uint64_t sid) {
+    for (auto b = v.lo; b <= v.hi; ++b) owner[b] = sid;
+  }
+  void read(const Iv& v, std::uint64_t sid) {
+    for (auto b = v.lo; b <= v.hi; ++b) {
+      if (owner[b] == 0 || resolve_by_sid(acc(owner[b]), acc(sid))) {
+        owner[b] = sid;
+      }
+    }
+  }
+  void erase(const Iv& v) {
+    for (auto b = v.lo; b <= v.hi; ++b) owner[b] = 0;
+  }
+  std::vector<std::uint64_t> owner;
+};
+
+/// Checks the store byte for byte against the model (via for_each).
+::testing::AssertionResult same_bytes(const IntervalTreap& t,
+                                      const FlatModel& m) {
+  std::vector<std::uint64_t> got(m.owner.size(), 0);
+  bool in_range = true;
+  t.for_each([&](std::uint64_t lo, std::uint64_t hi, const Accessor& a) {
+    if (hi >= got.size()) {
+      in_range = false;
+      return;
+    }
+    for (auto b = lo; b <= hi; ++b) got[b] = a.sid;
+  });
+  if (!in_range) return ::testing::AssertionFailure() << "segment past span";
+  for (std::size_t b = 0; b < got.size(); ++b) {
+    if (got[b] != m.owner[b]) {
+      return ::testing::AssertionFailure()
+             << "byte " << b << ": store " << got[b] << ", model "
+             << m.owner[b];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
+// Every operation and every *_run form against the byte model, at a key
+// span that grows the tree past three levels (more than 32 * 32 entries
+// cannot fit under one inner node), with leaf splits, erases across many
+// leaves, and a final shrink that collapses the root chain.
+TEST(Treap, PropertyAllOpsAndRunsMatchByteModelAcrossLevels) {
+  constexpr std::uint64_t kSpan = 1 << 16;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Xoshiro256 rng(seed);
+    IntervalTreap t;
+    FlatModel m(kSpan + 64);
+    std::size_t peak = 0;
+    auto dense_run = [&]() {
+      std::vector<Iv> r;
+      std::uint64_t lo = rng.next_below(kSpan);
+      for (std::size_t j = 0, k = 1 + rng.next_below(12); j < k; ++j) {
+        const std::uint64_t len = 1 + rng.next_below(48);
+        if (lo + len > kSpan) break;
+        r.push_back({lo, lo + len - 1});
+        lo += len + rng.next_below(3);
+      }
+      return r;
+    };
+    auto strided_run = [&]() {  // the fft gather shape, across many leaves
+      std::vector<Iv> r;
+      const std::uint64_t stride = 64 + rng.next_below(4096);
+      std::uint64_t lo = rng.next_below(stride);
+      for (std::size_t j = 0, k = 2 + rng.next_below(64); j < k; ++j) {
+        const std::uint64_t len = 1 + rng.next_below(8);
+        if (lo + len > kSpan) break;
+        r.push_back({lo, lo + len - 1});
+        lo += stride;
+      }
+      return r;
+    };
+    for (int op = 0; op < 4000; ++op) {
+      const bool run = rng.next_below(2) == 0;
+      std::vector<Iv> r = rng.next_below(2) == 0 ? strided_run() : dense_run();
+      if (r.empty()) continue;
+      if (!run) r.erase(r.begin() + 1, r.end());
+      const std::uint64_t sid = 1 + rng.next_below(500);
+      // Erases are rarer while growing, then dominate so coverage drains.
+      const std::uint64_t erase_odds = op < 2500 ? 10 : 60;
+      const std::uint64_t kind = rng.next_below(100);
+      if (kind < erase_odds) {
+        if (rng.next_below(20) == 0) {  // a wide erase across many leaves
+          const std::uint64_t lo = rng.next_below(kSpan);
+          r.assign(1, Iv{lo, std::min(kSpan - 1, lo + rng.next_below(8192))});
+        }
+        if (run) {
+          t.erase_run(r.data(), r.size());
+        } else {
+          t.erase_range(r[0].lo, r[0].hi);
+        }
+        for (const Iv& v : r) m.erase(v);
+      } else if (kind < 50) {
+        std::vector<Seg> got, want;
+        auto cb = [&](std::uint64_t lo, std::uint64_t hi, const Accessor& a) {
+          got.push_back({lo, hi, a.sid});
+        };
+        if (run) {
+          t.query_run(r.data(), r.size(), cb);
+        } else {
+          t.query(r[0].lo, r[0].hi, cb);
+        }
+        for (const Iv& v : r) {  // expected: maximal same-owner stretches
+          for (auto b = v.lo; b <= v.hi; ++b) {
+            if (m.owner[b] == 0) continue;
+            if (!want.empty() && want.back().hi + 1 == b &&
+                want.back().sid == m.owner[b]) {
+              ++want.back().hi;
+            } else {
+              want.push_back({b, b, m.owner[b]});
+            }
+          }
+        }
+        // Stored segments may split a same-owner stretch; compare bytes.
+        std::vector<Seg> got_bytes, want_bytes;
+        for (const Seg& g : got) {
+          for (auto b = g.lo; b <= g.hi; ++b) got_bytes.push_back({b, b, g.sid});
+        }
+        for (const Seg& w : want) {
+          for (auto b = w.lo; b <= w.hi; ++b) want_bytes.push_back({b, b, w.sid});
+        }
+        ASSERT_EQ(got_bytes, want_bytes) << "seed=" << seed << " op=" << op;
+      } else if (kind < 75) {
+        if (run) {
+          t.insert_writer_run(r.data(), r.size(), acc(sid),
+                              [](auto, auto, const auto&) {});
+        } else {
+          t.insert_writer(r[0].lo, r[0].hi, acc(sid),
+                          [](auto, auto, const auto&) {});
+        }
+        for (const Iv& v : r) m.write(v, sid);
+      } else {
+        if (run) {
+          t.insert_reader_run(r.data(), r.size(), acc(sid), resolve_by_sid);
+        } else {
+          t.insert_reader(r[0].lo, r[0].hi, acc(sid), resolve_by_sid);
+        }
+        for (const Iv& v : r) m.read(v, sid);
+      }
+      peak = std::max(peak, t.size());
+      if (op % 250 == 0) {
+        ASSERT_TRUE(t.check_invariants()) << "seed=" << seed << " op=" << op;
+        ASSERT_TRUE(same_bytes(t, m)) << "seed=" << seed << " op=" << op;
+      }
+    }
+    ASSERT_GT(peak, 32u * 32u) << "seed=" << seed;  // >= 3 levels reached
+    ASSERT_TRUE(t.check_invariants()) << "seed=" << seed;
+    ASSERT_TRUE(same_bytes(t, m)) << "seed=" << seed;
+    // Shrink to a single leaf's worth: the root chain collapses.
+    const Iv keep_out[] = {{0, kSpan / 2 - 1}, {kSpan / 2 + 64, kSpan + 63}};
+    t.erase_run(keep_out, 2);
+    for (const Iv& v : keep_out) m.erase(v);
+    ASSERT_LE(t.size(), 64u);
+    ASSERT_TRUE(t.check_invariants()) << "seed=" << seed;
+    ASSERT_TRUE(same_bytes(t, m)) << "seed=" << seed;
+    t.erase_range(0, kSpan + 63);
+    EXPECT_TRUE(t.empty());
+    EXPECT_EQ(t.live_accessors(), 0u);
+    EXPECT_TRUE(t.check_invariants());
+  }
 }
