@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "detect/run_result.hpp"
@@ -63,6 +64,11 @@ struct BenchResult {
   std::string trace_path;
   std::string stats_path;
 };
+
+/// The metrics JSON "stats" section (telem::write_metrics_json): every
+/// detect::Counts counter under its Stats name, then the run status.
+std::vector<std::pair<std::string, std::uint64_t>> stats_kv(
+    const detect::Counts& s, const detect::RunResult& rr);
 
 /// Runs the spec; aborts on verification failure or unexpected races.
 /// Without telemetry the best-of-reps result is returned; with telemetry

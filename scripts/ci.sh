@@ -13,10 +13,11 @@
 #                            # validation, then a -DPINT_TELEMETRY=OFF build
 #                            # proving the zero-cost path still compiles
 #   scripts/ci.sh perf       # perf smoke: micro_access (fails below the 3x
-#                            # fast-path bar or the sort cursor-rate bar),
-#                            # emits BENCH_access.json; micro_treap
-#                            # --bulk-json (fails below the 2x bulk-run
-#                            # bar), emits BENCH_treap.json; plus a tiny
+#                            # fast-path bar or the sort cursor-rate bar)
+#                            # and micro_treap --bulk-json (fails below the
+#                            # 2x bulk-run bar), both writing their JSON to
+#                            # a temporary directory (the committed
+#                            # BENCH_*.json stay untouched); plus a tiny
 #                            # fig1_overview run
 #   scripts/ci.sh bulkapply  # bulk-run equivalence suite (ctest -L
 #                            # bulkapply) in the plain AND the TSan builds
@@ -137,19 +138,25 @@ run_lane() {
     perf)
       echo "=== lane: perf (build dir: build) ==="
       build_dir build ""
+      # The JSON goes to a temporary directory: the committed BENCH_*.json
+      # are the baselines perfgate compares against, rewritten only by the
+      # deliberate rebaseline command in README "Profiling a run".
+      local pdir
+      pdir="$(mktemp -d)"
       # micro_access enforces the access-path acceptance bars itself: exits
       # non-zero if the cursor fast path is under 3x the slow route or sort's
-      # cursor hit rate is at or below 0.5.  The JSON it emits is the committed
+      # cursor hit rate is at or below 0.5.  Its JSON has the shape of
       # BENCH_access.json (ns/access, hit rates, geo-mean overhead).
-      ./build/bench/micro_access --json BENCH_access.json
-      python3 -m json.tool BENCH_access.json > /dev/null
+      ./build/bench/micro_access --json "$pdir/BENCH_access.json"
+      python3 -m json.tool "$pdir/BENCH_access.json" > /dev/null
       echo "validated BENCH_access.json"
       # micro_treap --bulk-json enforces the bulk sorted-run bar itself:
       # exits non-zero if the run API is under 2x the per-record loop on the
       # disjoint or adjacent writer workload, or if the two paths diverge.
-      ./build/bench/micro_treap --bulk-json BENCH_treap.json
-      python3 -m json.tool BENCH_treap.json > /dev/null
+      ./build/bench/micro_treap --bulk-json "$pdir/BENCH_treap.json"
+      python3 -m json.tool "$pdir/BENCH_treap.json" > /dev/null
       echo "validated BENCH_treap.json"
+      rm -rf "$pdir"
       # Smoke the end-to-end overhead figure at a tiny scale: catches a
       # detector that silently stopped taking the fast path in the full
       # harness (the run aborts on verification failure or false races).

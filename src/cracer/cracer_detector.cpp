@@ -9,12 +9,6 @@
 namespace pint::cracer {
 
 namespace {
-/// Per-worker access counters (plain fields: one writer each).
-struct WsCount {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-};
-
 /// Cell sids are probed without the cell lock (fast paths), so publication
 /// must be atomic. Stores happen under the lock; the probe is relaxed - a
 /// stale value only misses the fast path, never skips a needed update.
@@ -131,12 +125,12 @@ void CracerDetector::on_access(rt::Worker& w, rt::TaskFrame& f,
                                bool is_write) {
   auto* me = static_cast<AccessorRec*>(f.det_strand);
   PINT_ASSERT(me != nullptr);
-  auto* cnt = static_cast<WsCount*>(w.det_worker);
+  auto* tally = static_cast<detect::Counts*>(w.det_worker);
   if (is_write) {
-    ++cnt->writes;
+    ++tally->raw_writes;
     shadow_.for_cells(lo, hi, [&](ShadowCell& c) { write_cell(c, *me); });
   } else {
-    ++cnt->reads;
+    ++tally->raw_reads;
     shadow_.for_cells(lo, hi, [&](ShadowCell& c) { read_cell(c, *me); });
   }
 }
@@ -234,9 +228,10 @@ detect::RunResult CracerDetector::run(std::function<void()> fn) {
   so.seed = opt_.seed;
   rt::Scheduler sched(so);
 
-  std::vector<WsCount> counts(std::size_t(opt_.workers));
+  // Per-worker counter tallies (plain fields: one writer each).
+  std::vector<detect::Counts> tallies(std::size_t(opt_.workers));
   for (int i = 0; i < opt_.workers; ++i) {
-    sched.worker(i).det_worker = &counts[std::size_t(i)];
+    sched.worker(i).det_worker = &tallies[std::size_t(i)];
   }
 
   detect::set_active_detector(this);
@@ -246,10 +241,7 @@ detect::RunResult CracerDetector::run(std::function<void()> fn) {
   stats_.core_ns.store(total.elapsed_ns());
   detect::set_active_detector(nullptr);
 
-  for (const WsCount& c : counts) {
-    stats_.raw_reads.fetch_add(c.reads);
-    stats_.raw_writes.fetch_add(c.writes);
-  }
+  for (const detect::Counts& t : tallies) stats_.add(t);
   stats_.strands.store(strands_.load());
   stats_.steals.store(sched.total_steals());
   return {};

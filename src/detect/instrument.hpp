@@ -29,6 +29,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "detect/stats.hpp"
+
 namespace pint {
 
 namespace detail {
@@ -145,6 +147,17 @@ void cursor_install(AccessBuffer* reads, AccessBuffer* writes, bool coalesce);
 /// that end the strand, which always run there).  Safe to call with no
 /// cursor installed (returns zeros).
 CursorFlush cursor_invalidate();
+
+/// cursor_invalidate() tallied into a detector thread's counts: raw
+/// accesses, and the fast-path accesses, hits and spills among them.
+inline void cursor_flush(Counts& tally) {
+  const CursorFlush fl = cursor_invalidate();
+  tally.raw_reads += fl.raw_reads;
+  tally.raw_writes += fl.raw_writes;
+  tally.fastpath_accesses += fl.raw_reads + fl.raw_writes;
+  tally.fastpath_hits += fl.hits;
+  tally.cursor_spills += fl.spills;
+}
 
 /// Hard reset: drop the cursor without flushing.  Only for thread entry /
 /// defensive use where no strand can be current.

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "detect/lockset.hpp"
+#include "detect/stats.hpp"
 #include "detect/types.hpp"
 #include "reach/depa.hpp"
 
@@ -75,6 +76,23 @@ struct Strand {
     collect_child = nullptr;
     consumers.store(0, std::memory_order_relaxed);
     retired_frame = nullptr;
+  }
+
+  /// Finalizes both access buffers once the strand is complete and tallies
+  /// the seal: the intervals it produced, the AccessBuffer tail-probe
+  /// outcomes and the finalize routes taken.
+  void seal(bool coalesce, Counts& tally) {
+    reads.finalize(coalesce);
+    writes.finalize(coalesce);
+    tally.read_intervals += reads.items().size();
+    tally.write_intervals += writes.items().size();
+    tally.tail_probe_hits += reads.tail_hits() + writes.tail_hits();
+    tally.tail_probe_misses += reads.tail_misses() + writes.tail_misses();
+    tally.finalize_sorted_skips +=
+        (reads.fin_path() == FinalizePath::kSorted) +
+        (writes.fin_path() == FinalizePath::kSorted);
+    tally.finalize_simd += (reads.fin_path() == FinalizePath::kSimd) +
+                           (writes.fin_path() == FinalizePath::kSimd);
   }
 
   bool has_work() const {

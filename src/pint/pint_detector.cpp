@@ -176,7 +176,7 @@ Strand* PintDetector::alloc_strand(CoreWS& ws) {
       (std::uint64_t(ws.index + 1) << 40) | ++ws.next_sid;
   s->reset(sid);
   s->owner_worker = ws.index;
-  ws.strands++;
+  ws.tally.strands++;
   strands_outstanding_.fetch_add(1, std::memory_order_relaxed);
   return s;
 }
@@ -358,30 +358,12 @@ void PintDetector::start_new_trace(CoreWS& ws) {
   old->mark_finished();
   old->set_next_trace(t);  // after mark_finished: consumer sees both in order
   ws.cur = t;
-  ws.traces++;
+  ws.tally.traces++;
 }
 
 void PintDetector::seal_strand(CoreWS& ws, Strand* s) {
   PINT_TCOUNT("core.seal");
-  s->reads.finalize(opt_.coalesce);
-  s->writes.finalize(opt_.coalesce);
-  ws.read_intervals += s->reads.items().size();
-  ws.write_intervals += s->writes.items().size();
-  ws.tail_hits += s->reads.tail_hits() + s->writes.tail_hits();
-  ws.tail_misses += s->reads.tail_misses() + s->writes.tail_misses();
-  ws.fin_sorted += (s->reads.fin_path() == detect::FinalizePath::kSorted) +
-                   (s->writes.fin_path() == detect::FinalizePath::kSorted);
-  ws.fin_simd += (s->reads.fin_path() == detect::FinalizePath::kSimd) +
-                 (s->writes.fin_path() == detect::FinalizePath::kSimd);
-}
-
-void PintDetector::cursor_flush(CoreWS& ws) {
-  const detect::CursorFlush fl = detect::cursor_invalidate();
-  ws.raw_reads += fl.raw_reads;
-  ws.raw_writes += fl.raw_writes;
-  ws.fast_accesses += fl.raw_reads + fl.raw_writes;
-  ws.fast_hits += fl.hits;
-  ws.cursor_spills += fl.spills;
+  s->seal(opt_.coalesce, ws.tally);
 }
 
 // ---------------------------------------------------------------------------
@@ -395,16 +377,16 @@ void PintDetector::on_access(rt::Worker& w, rt::TaskFrame& f, detect::addr_t lo,
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* s = static_cast<Strand*>(f.det_strand);
   PINT_ASSERT(s != nullptr);
-  ws.slow_accesses++;
+  ws.tally.slowpath_accesses++;
   if (is_write) {
-    ws.raw_writes++;
+    ws.tally.raw_writes++;
     if (opt_.coalesce) {
       s->writes.add(lo, hi);
     } else {
       s->writes.add_raw(lo, hi);
     }
   } else {
-    ws.raw_reads++;
+    ws.tally.raw_reads++;
     if (opt_.coalesce) {
       s->reads.add(lo, hi);
     } else {
@@ -429,7 +411,7 @@ void PintDetector::on_lock_event(rt::Worker& w, rt::TaskFrame& f,
   const detect::lockset_t nid =
       acquire ? tbl.acquire(u->lsid, lock) : tbl.release(u->lsid, lock);
   if (nid == u->lsid) return;  // recursive re-acquire / unmatched release
-  cursor_flush(ws);
+  detect::cursor_flush(ws.tally);
   if (!u->has_work()) {
     // Nothing recorded under the old lockset yet: relabel in place instead
     // of emitting an empty segment (the common acquire-then-touch shape).
@@ -481,7 +463,7 @@ void PintDetector::on_root_start(rt::Worker& w, rt::TaskFrame& f) {
 void PintDetector::on_root_end(rt::Worker& w, rt::TaskFrame& f) {
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* u = static_cast<Strand*>(f.det_strand);
-  cursor_flush(ws);
+  detect::cursor_flush(ws.tally);
   seal_strand(ws, u);
   u->clears.push_back({f.fiber->stack_lo(), f.fiber->stack_hi() - 1});
   // trace insertion happens at on_task_retire, off this fiber's stack
@@ -491,7 +473,7 @@ void PintDetector::on_spawn(rt::Worker& w, rt::TaskFrame& parent,
                             rt::SyncBlock& blk, rt::TaskFrame& child) {
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* u = static_cast<Strand*>(parent.det_strand);
-  cursor_flush(ws);
+  detect::cursor_flush(ws.tally);
   seal_strand(ws, u);
 
   auto* j = static_cast<Strand*>(blk.det_sync);
@@ -527,7 +509,7 @@ void PintDetector::on_spawn_return(rt::Worker& w, rt::TaskFrame& child,
                                    bool continuation_stolen) {
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* u = static_cast<Strand*>(child.det_strand);  // the return node
-  cursor_flush(ws);
+  detect::cursor_flush(ws.tally);
   seal_strand(ws, u);
   if (continuation_stolen) {
     // Algorithm 1, lines 15-17: this return node becomes a predecessor of
@@ -568,7 +550,7 @@ void PintDetector::on_sync(rt::Worker& w, rt::TaskFrame& f, rt::SyncBlock& blk,
   // (strand u continues - its cursor stays installed)
   auto& ws = *static_cast<CoreWS*>(w.det_worker);
   auto* u = static_cast<Strand*>(f.det_strand);
-  cursor_flush(ws);
+  detect::cursor_flush(ws.tally);
   seal_strand(ws, u);
   if (!trivial) {
     // Algorithm 1, lines 29-31.
@@ -656,7 +638,7 @@ void PintDetector::collect(Strand* s) {
     const bool forced_full = PINT_FAILPOINT("ahqueue.push.full");
     if (PINT_LIKELY(!forced_full) && queue_.try_push(s)) break;
     stats_.stalled_pushes.fetch_add(1, std::memory_order_relaxed);
-    PINT_TCOUNT("queue.full");
+    PINT_TCOUNT("stalled_pushes");
     if (seq_history_) {
       // Sequential mode buffers the entire run before the reader phases, so
       // the ring grows (no consumers are live yet) - up to the configured
@@ -680,7 +662,7 @@ void PintDetector::collect(Strand* s) {
     hb_backoff_.set_idle(false);
     hb_backoff_.beat();
     stats_.backoff_pauses.fetch_add(1, std::memory_order_relaxed);
-    PINT_TCOUNT("collect.backoff");
+    PINT_TCOUNT("backoff_pauses");
     if (PINT_UNLIKELY(cancel_.load(std::memory_order_relaxed))) {
       dropped_strands_.fetch_add(1, std::memory_order_relaxed);
       stats_.dropped_strands.fetch_add(1, std::memory_order_relaxed);
@@ -816,7 +798,7 @@ template <class ProcessFn>
 void PintDetector::consume_loop(ConsumerLane& lane, ProcessFn&& process) {
   queue_.register_consumer();
   std::uint64_t cursor = 0;
-  std::uint64_t batches = 0, drained = 0, prefetches = 0;
+  detect::Counts tally;  // this lane's batch_* and prefetch_issues
   Backoff bo;
   for (;;) {
     const std::uint64_t h = queue_.head();
@@ -845,7 +827,7 @@ void PintDetector::consume_loop(ConsumerLane& lane, ProcessFn&& process) {
         (void)PINT_FAILPOINT("reader.stall");
         if (i + 1 < end) {
           prefetch_strand_records(queue_.at(i + 1));
-          ++prefetches;
+          ++tally.prefetch_issues;
         }
         process(queue_.at(i));
       }
@@ -856,8 +838,8 @@ void PintDetector::consume_loop(ConsumerLane& lane, ProcessFn&& process) {
       for (std::uint64_t i = cursor; i < end; ++i) {
         queue_.at(i)->consumers.fetch_sub(1, std::memory_order_acq_rel);
       }
-      drained += end - cursor;
-      ++batches;
+      tally.batch_strands += end - cursor;
+      ++tally.batch_drains;
       cursor = end;
       lane.cursor.store(cursor, std::memory_order_relaxed);
       lane.hb.beat();
@@ -865,11 +847,9 @@ void PintDetector::consume_loop(ConsumerLane& lane, ProcessFn&& process) {
   }
   lane.hb.set_idle(true);
   queue_.unregister_consumer();
-  // Local tallies folded once per lane at exit; run() joins this thread
-  // before snapshotting (Stats quiescence contract).
-  stats_.batch_drains.fetch_add(batches, std::memory_order_relaxed);
-  stats_.batch_strands.fetch_add(drained, std::memory_order_relaxed);
-  stats_.prefetch_issues.fetch_add(prefetches, std::memory_order_relaxed);
+  // Folded once per lane at exit; run() joins this thread before
+  // snapshotting (Stats quiescence contract).
+  stats_.add(tally);
 }
 
 void PintDetector::reader_loop(ReaderSide side) {
@@ -1088,7 +1068,7 @@ RunResult PintDetector::run(std::function<void()> fn) {
     t->init(alloc_chunk());
     ws_[i]->cur = t;
     ws_[i]->ccur = t;
-    ws_[i]->traces = 1;
+    ws_[i]->tally.traces = 1;
   }
 
   detect::set_active_detector(this);
@@ -1199,22 +1179,7 @@ RunResult PintDetector::run(std::function<void()> fn) {
     stats_.rreader_ns.store(sum);
   }
   stats_.steals.store(sched.total_steals());
-  for (auto& ws : ws_) {
-    stats_.raw_reads.fetch_add(ws->raw_reads);
-    stats_.raw_writes.fetch_add(ws->raw_writes);
-    stats_.read_intervals.fetch_add(ws->read_intervals);
-    stats_.write_intervals.fetch_add(ws->write_intervals);
-    stats_.strands.fetch_add(ws->strands);
-    stats_.traces.fetch_add(ws->traces);
-    stats_.fastpath_accesses.fetch_add(ws->fast_accesses);
-    stats_.fastpath_hits.fetch_add(ws->fast_hits);
-    stats_.cursor_spills.fetch_add(ws->cursor_spills);
-    stats_.slowpath_accesses.fetch_add(ws->slow_accesses);
-    stats_.tail_probe_hits.fetch_add(ws->tail_hits);
-    stats_.tail_probe_misses.fetch_add(ws->tail_misses);
-    stats_.finalize_sorted_skips.fetch_add(ws->fin_sorted);
-    stats_.finalize_simd.fetch_add(ws->fin_simd);
-  }
+  for (auto& ws : ws_) stats_.add(ws->tally);
   // Arena counters are process-wide monotonic; attribute this run's delta
   // (same pattern as deep_backoffs below).
   const support::ArenaCounters arena_now = support::arena_counters();
@@ -1222,40 +1187,6 @@ RunResult PintDetector::run(std::function<void()> fn) {
   stats_.arena_fresh.fetch_add(arena_now.fresh - arena_at_start.fresh);
   stats_.deep_backoffs.fetch_add(Backoff::deep_entries() -
                                  deep_backoffs_at_start);
-  telem::count("history.bulk.runs",
-               stats_.bulk_runs.load(std::memory_order_relaxed));
-  telem::count("history.bulk.intervals",
-               stats_.bulk_run_intervals.load(std::memory_order_relaxed));
-  telem::count("queue.batch.drains",
-               stats_.batch_drains.load(std::memory_order_relaxed));
-  telem::count("queue.batch.strands",
-               stats_.batch_strands.load(std::memory_order_relaxed));
-  telem::count("queue.prefetch.issues",
-               stats_.prefetch_issues.load(std::memory_order_relaxed));
-  telem::count("backoff.deep.entries",
-               stats_.deep_backoffs.load(std::memory_order_relaxed));
-  telem::count("access.fastpath.total",
-               stats_.fastpath_accesses.load(std::memory_order_relaxed));
-  telem::count("access.fastpath.hits",
-               stats_.fastpath_hits.load(std::memory_order_relaxed));
-  telem::count("access.fastpath.spills",
-               stats_.cursor_spills.load(std::memory_order_relaxed));
-  telem::count("access.slowpath.total",
-               stats_.slowpath_accesses.load(std::memory_order_relaxed));
-  telem::count("access.tail.hits",
-               stats_.tail_probe_hits.load(std::memory_order_relaxed));
-  telem::count("access.tail.misses",
-               stats_.tail_probe_misses.load(std::memory_order_relaxed));
-  telem::count("access.finalize.sorted",
-               stats_.finalize_sorted_skips.load(std::memory_order_relaxed));
-  telem::count("access.finalize.simd",
-               stats_.finalize_simd.load(std::memory_order_relaxed));
-  telem::count("collect.empty.skips",
-               stats_.empty_strand_skips.load(std::memory_order_relaxed));
-  telem::count("arena.reuses",
-               stats_.arena_reuses.load(std::memory_order_relaxed));
-  telem::count("arena.fresh",
-               stats_.arena_fresh.load(std::memory_order_relaxed));
 
   detect::set_active_detector(nullptr);
   sched_ = nullptr;

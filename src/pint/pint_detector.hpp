@@ -126,24 +126,13 @@ class PintDetector final : public detect::Detector,
  private:
   /// Per-core-worker state: the producer end of its trace list, the
   /// consumer cursor the writer treap worker walks, a strand pool, and
-  /// cheap (non-atomic) per-worker counters flushed at run end.
+  /// the worker's plain (non-atomic) counter tally, folded at run end.
   struct CoreWS {
     std::uint32_t index = 0;
     // producer side (owned by the core worker)
     Trace* cur = nullptr;
     std::uint64_t next_sid = 0;
-    std::uint64_t raw_reads = 0, raw_writes = 0;
-    std::uint64_t read_intervals = 0, write_intervals = 0;
-    std::uint64_t strands = 0, traces = 0;
-    // AccessCursor effectiveness (DESIGN.md §9): raw accesses recorded via
-    // the thread-local cursor, the subset its inline caches absorbed, and
-    // accesses that took the classic virtual-dispatch route.
-    std::uint64_t fast_accesses = 0, fast_hits = 0, slow_accesses = 0;
-    std::uint64_t cursor_spills = 0;
-    // AccessBuffer::add tail-probe outcomes and finalize route tallies
-    // (DESIGN.md §13), folded from each strand's buffers at seal time.
-    std::uint64_t tail_hits = 0, tail_misses = 0;
-    std::uint64_t fin_sorted = 0, fin_simd = 0;
+    detect::Counts tally;
     // consumer side (owned by the writer treap worker)
     Trace* ccur = nullptr;
     // Strand pool: owner pops, writer treap worker returns.  Same
@@ -171,11 +160,9 @@ class PintDetector final : public detect::Detector,
   void recycle_chunk(TraceChunk* c);
   void trace_push(CoreWS& ws, detect::Strand* s);
   void start_new_trace(CoreWS& ws);
+  /// Seals s into ws's tally.  detect::cursor_flush(ws.tally) must run
+  /// first (pending cursor intervals land in the strand's AccessBuffers).
   void seal_strand(CoreWS& ws, detect::Strand* s);
-  /// Invalidates the calling thread's AccessCursor, folding its drained
-  /// counters into ws.  Must run before seal_strand() of the cursor's
-  /// strand (pending cursor intervals land in the strand's AccessBuffers).
-  void cursor_flush(CoreWS& ws);
   /// Lockset transition: splits the current strand into a new segment with
   /// the same label and a fresh sid/lsid (see detect/strand.hpp).
   void on_lock_event(rt::Worker& w, rt::TaskFrame& f, detect::addr_t lock,

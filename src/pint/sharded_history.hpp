@@ -101,13 +101,15 @@ struct HistoryShard {
     if (bulk && s.writes.canonical()) {
       gather_pieces(s.writes.items(), shard, nshards);
       if (!run_buf_.empty()) {
-        detect::note_bulk_run(stats, run_buf_.size() * 3);
+        detect::note_bulk_run(stats, run_buf_.size());
         lreader.query_run(
             run_buf_.data(), run_buf_.size(),
             detect::make_conflict_cb(me, false, true, reach, rep, stats));
+        detect::note_bulk_run(stats, run_buf_.size());
         rreader.query_run(
             run_buf_.data(), run_buf_.size(),
             detect::make_conflict_cb(me, false, true, reach, rep, stats));
+        detect::note_bulk_run(stats, run_buf_.size());
         writer.insert_writer_run(
             run_buf_.data(), run_buf_.size(), me,
             detect::make_conflict_cb(me, true, true, reach, rep, stats));
@@ -132,9 +134,10 @@ struct HistoryShard {
     if (bulk && s.reads.canonical()) {
       gather_pieces(s.reads.items(), shard, nshards);
       if (!run_buf_.empty()) {
-        detect::note_bulk_run(stats, run_buf_.size() * 2);
+        detect::note_bulk_run(stats, run_buf_.size());
         lreader.insert_reader_run(run_buf_.data(), run_buf_.size(), me,
                                   lresolve);
+        detect::note_bulk_run(stats, run_buf_.size());
         rreader.insert_reader_run(run_buf_.data(), run_buf_.size(), me,
                                   rresolve);
       }

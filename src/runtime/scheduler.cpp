@@ -179,7 +179,7 @@ void Worker::loop() {
       TaskFrame* pf = sched_->workers_[victim]->deque_.steal();
       if (pf != nullptr) {
         ++steals_;
-        PINT_TCOUNT("core.steal");
+        PINT_TCOUNT("steals");
         // The frame is suspended at a spawn; its innermost scope is the one
         // this continuation belongs to.
         pf->scope->steal_happened.store(true, std::memory_order_release);

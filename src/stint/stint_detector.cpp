@@ -39,7 +39,7 @@ Strand* StintDetector::alloc_strand() {
     owned_.push_back(s);
   }
   s->reset(++next_sid_);
-  ++strands_;
+  ++tally_.strands;
   return s;
 }
 
@@ -48,31 +48,10 @@ void StintDetector::recycle_strand(Strand* s) {
   free_list_ = s;
 }
 
-void StintDetector::seal_strand(Strand* s) {
-  s->reads.finalize(opt_.coalesce);
-  s->writes.finalize(opt_.coalesce);
-  read_intervals_ += s->reads.items().size();
-  write_intervals_ += s->writes.items().size();
-  tail_hits_ += s->reads.tail_hits() + s->writes.tail_hits();
-  tail_misses_ += s->reads.tail_misses() + s->writes.tail_misses();
-  fin_sorted_ += (s->reads.fin_path() == detect::FinalizePath::kSorted) +
-                 (s->writes.fin_path() == detect::FinalizePath::kSorted);
-  fin_simd_ += (s->reads.fin_path() == detect::FinalizePath::kSimd) +
-               (s->writes.fin_path() == detect::FinalizePath::kSimd);
-}
-
-void StintDetector::cursor_flush() {
-  const detect::CursorFlush fl = detect::cursor_invalidate();
-  raw_reads_ += fl.raw_reads;
-  raw_writes_ += fl.raw_writes;
-  fast_accesses_ += fl.raw_reads + fl.raw_writes;
-  fast_hits_ += fl.hits;
-  cursor_spills_ += fl.spills;
-}
-
 void StintDetector::process_strand(Strand* s) {
-  cursor_flush();  // pending cursor intervals land in s before the seal
-  seal_strand(s);
+  // Pending cursor intervals land in s before the seal.
+  detect::cursor_flush(tally_);
+  s->seal(opt_.coalesce, tally_);
   // Empty-strand skip (DESIGN.md §13): no accesses, clears or frees means
   // the history phases would be no-ops - skip their stopwatch reads and
   // spans entirely.
@@ -120,7 +99,7 @@ void StintDetector::on_lock_event(rt::TaskFrame& f, detect::addr_t lock,
   const detect::lockset_t nid =
       acquire ? tbl.acquire(u->lsid, lock) : tbl.release(u->lsid, lock);
   if (nid == u->lsid) return;  // recursive acquire / unmatched release
-  cursor_flush();
+  detect::cursor_flush(tally_);
   if (!u->has_work()) {
     // Nothing recorded under the old lockset: relabel the segment in place.
     u->lsid = nid;
@@ -159,16 +138,16 @@ void StintDetector::on_access(rt::Worker&, rt::TaskFrame& f, detect::addr_t lo,
   // Classic route: only taken when the AccessCursor fast path is disabled.
   auto* s = static_cast<Strand*>(f.det_strand);
   PINT_ASSERT(s != nullptr);
-  ++slow_accesses_;
+  ++tally_.slowpath_accesses;
   if (is_write) {
-    ++raw_writes_;
+    ++tally_.raw_writes;
     if (opt_.coalesce) {
       s->writes.add(lo, hi);
     } else {
       s->writes.add_raw(lo, hi);
     }
   } else {
-    ++raw_reads_;
+    ++tally_.raw_reads;
     if (opt_.coalesce) {
       s->reads.add(lo, hi);
     } else {
@@ -287,37 +266,11 @@ detect::RunResult StintDetector::run(std::function<void()> fn) {
   stats_.total_ns.store(total.elapsed_ns());
   detect::set_active_detector(nullptr);
 
-  stats_.raw_reads.store(raw_reads_);
-  stats_.raw_writes.store(raw_writes_);
-  stats_.read_intervals.store(read_intervals_);
-  stats_.write_intervals.store(write_intervals_);
-  stats_.strands.store(strands_);
-  stats_.fastpath_accesses.store(fast_accesses_);
-  stats_.fastpath_hits.store(fast_hits_);
-  stats_.cursor_spills.store(cursor_spills_);
-  stats_.slowpath_accesses.store(slow_accesses_);
-  stats_.tail_probe_hits.store(tail_hits_);
-  stats_.tail_probe_misses.store(tail_misses_);
-  stats_.finalize_sorted_skips.store(fin_sorted_);
-  stats_.finalize_simd.store(fin_simd_);
+  stats_.add(tally_);
   // Arena counters are process-wide monotonic; attribute this run's delta.
   const support::ArenaCounters arena1 = support::arena_counters();
   stats_.arena_reuses.store(arena1.reuses - arena0.reuses);
   stats_.arena_fresh.store(arena1.fresh - arena0.fresh);
-  telem::count("access.tail.hits", tail_hits_);
-  telem::count("access.tail.misses", tail_misses_);
-  telem::count("access.finalize.sorted", fin_sorted_);
-  telem::count("access.finalize.simd", fin_simd_);
-  telem::count("access.fastpath.total", fast_accesses_);
-  telem::count("access.fastpath.hits", fast_hits_);
-  telem::count("access.fastpath.spills", cursor_spills_);
-  telem::count("access.slowpath.total", slow_accesses_);
-  // Bulk-run counters accumulate live in process_strand (fetch_add, never
-  // overwritten here); STINT has no consumer lanes, so only these two.
-  telem::count("history.bulk.runs",
-               stats_.bulk_runs.load(std::memory_order_relaxed));
-  telem::count("history.bulk.intervals",
-               stats_.bulk_run_intervals.load(std::memory_order_relaxed));
   stats_.writer_ns.store(writer_watch_.total_ns());
   stats_.lreader_ns.store(reader_watch_.total_ns());
   stats_.core_ns.store(total.elapsed_ns() - writer_watch_.total_ns() -

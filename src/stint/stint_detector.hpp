@@ -81,8 +81,6 @@ class StintDetector final : public detect::Detector,
   /// recycle the record.  Drains the execution thread's AccessCursor first
   /// (process_strand is only ever called on the current strand).
   void process_strand(detect::Strand* s);
-  void seal_strand(detect::Strand* s);
-  void cursor_flush();
   /// Lockset change: seal the running segment, continue under the same
   /// label with the new lockset id (DESIGN.md §12).
   void on_lock_event(rt::TaskFrame& f, detect::addr_t lock, bool acquire);
@@ -99,13 +97,8 @@ class StintDetector final : public detect::Detector,
   detect::Strand* free_list_ = nullptr;
   std::vector<detect::Strand*> owned_;
   std::uint64_t next_sid_ = 0;
-  std::uint64_t raw_reads_ = 0, raw_writes_ = 0;
-  std::uint64_t read_intervals_ = 0, write_intervals_ = 0;
-  std::uint64_t strands_ = 0;
-  std::uint64_t fast_accesses_ = 0, fast_hits_ = 0, slow_accesses_ = 0;
-  std::uint64_t cursor_spills_ = 0;
-  std::uint64_t tail_hits_ = 0, tail_misses_ = 0;
-  std::uint64_t fin_sorted_ = 0, fin_simd_ = 0;
+  /// The execution thread's counter tally, folded into stats_ at run end.
+  detect::Counts tally_;
   StopwatchAccum writer_watch_, reader_watch_;
   bool used_ = false;
 };

@@ -60,6 +60,7 @@ inline const std::vector<Det>& all_detectors() {
 struct DetRun {
   bool any_race = false;
   std::uint64_t distinct = 0;
+  detect::Counts stats;
 };
 
 /// Runs body() under the given detector configuration.
@@ -76,6 +77,7 @@ inline DetRun run_under(Det d, const std::function<void()>& body,
       det.run(body);
       out.any_race = det.reporter().any();
       out.distinct = det.reporter().distinct_races();
+      out.stats = det.stats().snapshot();
       break;
     }
     case Det::kPintSeq:
@@ -97,6 +99,7 @@ inline DetRun run_under(Det d, const std::function<void()>& body,
       det.run(body);
       out.any_race = det.reporter().any();
       out.distinct = det.reporter().distinct_races();
+      out.stats = det.stats().snapshot();
       break;
     }
     case Det::kCracer1:
@@ -108,6 +111,7 @@ inline DetRun run_under(Det d, const std::function<void()>& body,
       det.run(body);
       out.any_race = det.reporter().any();
       out.distinct = det.reporter().distinct_races();
+      out.stats = det.stats().snapshot();
       break;
     }
   }

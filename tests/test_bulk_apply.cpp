@@ -18,7 +18,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -394,7 +396,7 @@ using FullRecord = std::tuple<std::uint64_t, std::uint64_t, int, int,
                               std::uint64_t, std::uint64_t>;
 using PairKey = std::tuple<std::uint64_t, std::uint64_t, int, int>;
 
-enum class Sys { kStint, kStintMap, kPintSeq, kPint1, kShard3 };
+enum class Sys { kStint, kStintMap, kPintSeq, kPint1, kShard1, kShard3 };
 
 struct RunOut {
   std::vector<FullRecord> rebased;  // sorted, addresses rebased to run min
@@ -457,6 +459,7 @@ RunOut run_config(Sys sys, bool bulk, const std::function<void()>& body,
   // bulk-sensitive machinery under test (history lanes / shard workers)
   // is fully parallel regardless.
   o.core_workers = 1;
+  if (sys == Sys::kShard1) o.history_shards = 1;
   if (sys == Sys::kShard3) o.history_shards = 3;
   pintd::PintDetector det(o);
   det.run(body);
@@ -519,6 +522,45 @@ TEST_P(KernelBulkApply, RaceFreeKernelStaysRaceFreeUnderBulk) {
   const RunOut out = run_config(Sys::kShard3, true, [&] { k->run(); });
   EXPECT_EQ(out.distinct, 0u) << "bulk apply introduced a false race";
   EXPECT_TRUE(k->verify());
+}
+
+// bulk_runs counts one run per *_run call in every history mode, so the
+// same records give the same run statistics phased and sharded.  Every
+// interval lies inside one 64 KiB stripe, so a single shard receives each
+// record list unsplit: reads as one query run plus two reader-insert runs,
+// writes as two reader-query runs plus one writer-insert run - the six runs
+// the three role lanes issue.
+TEST(BulkRunCounters, PhasedAndOneShardCountEveryRunCall) {
+  constexpr std::size_t kStripe = std::size_t(1) << 16;
+  struct AlignedFree {
+    void operator()(unsigned char* p) const { std::free(p); }
+  };
+  const std::unique_ptr<unsigned char, AlignedFree> buf(
+      static_cast<unsigned char*>(std::aligned_alloc(kStripe, kStripe)));
+  ASSERT_NE(buf, nullptr);
+  unsigned char* base = buf.get();
+  // 16 leaves, each writing four and reading four disjoint 16-byte slots
+  // of its own 512-byte slab: canonical multi-interval records.
+  std::function<void(int, std::size_t)> tree = [&](int depth,
+                                                   std::size_t leaf) {
+    if (depth == 0) {
+      unsigned char* slab = base + leaf * 512;
+      for (int i = 0; i < 4; ++i) record_write(slab + i * 64, 16);
+      for (int i = 0; i < 4; ++i) record_read(slab + i * 64 + 32, 16);
+      return;
+    }
+    rt::SpawnScope sc;
+    sc.spawn([&, depth, leaf] { tree(depth - 1, leaf * 2); });
+    sc.spawn([&, depth, leaf] { tree(depth - 1, leaf * 2 + 1); });
+    sc.sync();
+  };
+  const RunOut phased = run_config(Sys::kPintSeq, true, [&] { tree(4, 0); });
+  const RunOut sharded = run_config(Sys::kShard1, true, [&] { tree(4, 0); });
+  EXPECT_GT(phased.stats.bulk_runs, 0u);
+  EXPECT_GT(phased.stats.bulk_run_intervals, phased.stats.bulk_runs);
+  EXPECT_EQ(sharded.stats.bulk_runs, phased.stats.bulk_runs);
+  EXPECT_EQ(sharded.stats.bulk_run_intervals,
+            phased.stats.bulk_run_intervals);
 }
 
 INSTANTIATE_TEST_SUITE_P(All, KernelBulkApply,

@@ -111,3 +111,37 @@ INSTANTIATE_TEST_SUITE_P(Matrix, KernelUnderDetector,
                            return std::get<0>(info.param) + "_" +
                                   test::det_name(std::get<1>(info.param));
                          });
+
+// ---------------------------------------------------------------------------
+// Counter folds: each detector tallies per thread and folds at run end
+// ---------------------------------------------------------------------------
+
+class KernelCounterFold : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(KernelCounterFold, EveryDetectorCountsTheSameAccesses) {
+  kernels::KernelConfig cfg;
+  cfg.scale = kTestScale;
+  auto k = kernels::make_kernel(GetParam(), cfg);
+  detect::Counts ref;
+  for (Det d : {Det::kStint, Det::kPintSeq, Det::kPint2, Det::kPintShard3,
+                Det::kCracer4}) {
+    k->prepare();
+    const detect::Counts s = test::run_under(d, [&] { k->run(); }).stats;
+    if (d == Det::kStint) {
+      ref = s;
+      ASSERT_GT(ref.raw_reads + ref.raw_writes, 0u);
+    }
+    EXPECT_EQ(s.raw_reads, ref.raw_reads) << test::det_name(d);
+    EXPECT_EQ(s.raw_writes, ref.raw_writes) << test::det_name(d);
+    // C-RACER has no AccessCursor and counts neither route.
+    if (d != Det::kCracer4) {
+      EXPECT_EQ(s.fastpath_accesses + s.slowpath_accesses,
+                s.raw_reads + s.raw_writes)
+          << test::det_name(d);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(All, KernelCounterFold,
+                         ::testing::ValuesIn(kernels::kernel_names()),
+                         [](const auto& info) { return info.param; });

@@ -274,7 +274,8 @@ test::DetRun run_pint_tiny_queue(const std::function<void()>& body,
   o.queue_capacity = 8;  // tiny: every few strands wrap the ring
   pintd::PintDetector det(o);
   det.run(body);
-  return {det.reporter().any(), det.reporter().distinct_races()};
+  return {det.reporter().any(), det.reporter().distinct_races(),
+          det.stats().snapshot()};
 }
 
 }  // namespace

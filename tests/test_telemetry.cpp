@@ -20,8 +20,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "common.hpp"
 #include "detect/run_result.hpp"
+#include "support/failpoint.hpp"
 #include "support/telemetry.hpp"
 
 namespace pint::test {
@@ -38,6 +40,7 @@ struct JNode {
   std::string str;
   std::vector<JNode> arr;
   std::map<std::string, JNode> obj;
+  std::size_t duplicate_keys = 0;  // object keys seen again (first kept)
 
   const JNode* get(const std::string& key) const {
     auto it = obj.find(key);
@@ -118,7 +121,9 @@ class JParser {
         ++pos_;
         JNode v;
         if (!value(&v)) return false;
-        out->obj.emplace(std::move(key), std::move(v));
+        if (!out->obj.emplace(std::move(key), std::move(v)).second) {
+          ++out->duplicate_keys;
+        }
         skip_ws();
         if (pos_ >= s_.size()) return false;
         if (s_[pos_] == ',') { ++pos_; continue; }
@@ -225,6 +230,13 @@ detect::Stats::Snapshot traced_pintseq_run() {
 
 std::uint64_t span_total(const char* name) {
   for (const telem::Total& t : telem::span_totals()) {
+    if (t.name == name) return t.total;
+  }
+  return 0;
+}
+
+std::uint64_t counter_total(const char* name) {
+  for (const telem::Total& t : telem::counter_totals()) {
     if (t.name == name) return t.total;
   }
   return 0;
@@ -349,6 +361,50 @@ TEST(Telemetry, MetricsJsonHasAllSections) {
   const JNode* strands = stats->get("strands");
   ASSERT_NE(strands, nullptr);
   EXPECT_EQ(std::uint64_t(strands->num), s.strands);
+}
+
+// One counter vocabulary: a timeline counter that counts a Stats quantity
+// in flight carries the Stats name and sums to the Stats value, and the
+// harness's metrics JSON lists every Stats counter once under its name.
+TEST(Telemetry, CountersShareTheStatsNames) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "fail points compiled out";
+  ASSERT_TRUE(fail::configure("ahqueue.push.full=prob:0.5,seed:11"));
+  telem::reset();
+  telem::set_enabled(true);
+  pintd::PintDetector::Options o;
+  o.core_workers = 2;  // steals
+  o.queue_capacity = 8;
+  pintd::PintDetector d(o);
+  const detect::RunResult rr = d.run([] { run_workload(); });
+  telem::set_enabled(false);
+  fail::reset();
+  ASSERT_TRUE(rr.ok());
+  const detect::Counts s = d.stats().snapshot();
+  ASSERT_GT(s.stalled_pushes, 0u);
+  ASSERT_GT(s.backoff_pauses, 0u);
+  EXPECT_EQ(counter_total("stalled_pushes"), s.stalled_pushes);
+  EXPECT_EQ(counter_total("backoff_pauses"), s.backoff_pauses);
+  EXPECT_EQ(counter_total("steals"), s.steals);
+
+  const std::string path = tmp_path("telem_stats_kv.json");
+  ASSERT_TRUE(telem::write_metrics_json(path, bench::stats_kv(s, rr)));
+  JNode root;
+  ASSERT_TRUE(JParser(slurp(path)).parse(&root)) << "metrics is not valid JSON";
+  const JNode* stats = root.get("stats");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->duplicate_keys, 0u);
+  std::size_t listed = 0;
+  s.for_each([&](const char* name, std::uint64_t v) {
+    ++listed;
+    const JNode* n = stats->get(name);
+    ASSERT_NE(n, nullptr) << name;
+    EXPECT_EQ(std::uint64_t(n->num), v) << name;
+  });
+  // Every Counts field is listed except the two always-zero memo fields,
+  // and the section holds the counters plus three run-status entries.
+  EXPECT_EQ(listed, sizeof(detect::Counts) / sizeof(std::uint64_t) - 2);
+  EXPECT_EQ(stats->obj.size(), listed + 3);
+  EXPECT_NE(stats->get("cursor_spills"), nullptr);
 }
 
 TEST(Telemetry, DisabledRunRecordsNothing) {
