@@ -28,71 +28,7 @@ constexpr std::uint64_t kBlockMagic = 0xD17EC70BA110CULL;
 constexpr std::size_t kHeaderBytes = 16;
 static_assert(sizeof(BlockHeader) <= kHeaderBytes);
 
-// ---------------------------------------------------------------------------
-// AccessCursor (DESIGN.md §9)
-// ---------------------------------------------------------------------------
-//
-// One per OS thread.  Owned by at most one strand at a time: detectors
-// install it when a strand begins executing on this thread and invalidate it
-// at the strand's end (spawn / sync / return / steal boundaries).  Between
-// those two hook calls the strand cannot migrate - the scheduler only moves
-// work at exactly those boundaries - so everything below is single-threaded
-// by construction and needs no atomics.
-//
-// Per lane (reads / writes) the cursor keeps the STINT tail-probing shape
-// entirely in cursor storage: one open interval extended in the common case,
-// plus a small pending ring standing in for AccessBuffer::kTails streams.
-// Only when all of those miss does an interval spill into the strand's
-// AccessBuffer.  Any intermediate merge policy yields the same final
-// interval set: AccessBuffer::finalize() sort-merges to the minimal disjoint
-// cover when the strand is sealed.
-
-// The per-access hit path is a single extension predicate against the open
-// interval, so the cursor is laid out around it: the open intervals and raw
-// counters for both lanes share the first (64-byte aligned) cache line and
-// are indexed directly by `write`; everything rarer lives behind them and is
-// only touched by the noinline miss path.
-//
-// Two sentinel encodings of the open interval keep the hit path free of
-// state branches (the predicate is `lo >= open.lo && lo <= open.hi + 1`):
-//
-//   empty       lo = ~0, hi = ~0 - 1   matches only an access at address ~0,
-//                                      which extension then records exactly;
-//   never-match lo = 1,  hi = ~0       hi + 1 wraps to 0, so no address
-//                                      satisfies both comparisons.
-//
-// "Never-match" stands in for cursor-not-installed AND for the coalesce-off
-// ablation: either way every access falls into the miss path, which sorts
-// out which of the two it was.
-struct alignas(64) AccessCursor {
-  // kPend + the open interval = AccessBuffer::kTails interleaved streams.
-  static constexpr unsigned kPend = detect::AccessBuffer::kTails - 1;
-
-  // --- hot line: open interval + raw counters, indexed by `write` ---
-  detect::addr_t lo[2] = {1, 1};
-  detect::addr_t hi[2] = {~detect::addr_t(0), ~detect::addr_t(0)};
-  std::uint64_t raw[2] = {0, 0};
-
-  // --- miss-path state ---
-  std::uint64_t spilled = 0;  // per-access buffer touches; hits = raw - spilled
-  detect::AccessBuffer* out[2] = {nullptr, nullptr};
-  detect::Interval pend[2][kPend] = {};
-  unsigned npend[2] = {0, 0};
-  bool coalesce = true;
-  bool installed = false;
-
-  void set_open_empty(int lane) {
-    lo[lane] = ~detect::addr_t(0);
-    hi[lane] = ~detect::addr_t(0) - 1;
-  }
-  void set_never_match(int lane) {
-    lo[lane] = 1;
-    hi[lane] = ~detect::addr_t(0);
-  }
-  bool open_empty(int lane) const { return lo[lane] > hi[lane]; }
-};
-
-thread_local AccessCursor t_cursor;
+using detail::AccessCursor;
 
 void flush_lane(AccessCursor& c, int lane) {
   if (c.out[lane] == nullptr) return;
@@ -108,6 +44,26 @@ void flush_lane(AccessCursor& c, int lane) {
   c.set_never_match(lane);
   c.npend[lane] = 0;
   c.out[lane] = nullptr;
+}
+
+}  // namespace
+
+namespace detail {
+
+std::atomic<bool> g_instrumentation_on{false};
+
+// constinit: no dynamic initialization, so no thread_local guard or wrapper
+// stands between the thread pointer and the cursor (detail::cursor()).
+thread_local constinit AccessCursor t_cursor;
+
+PINT_NOINLINE void record_access_slow(const void* p, std::size_t bytes,
+                                      bool write) {
+  detect::Detector* d = g_active.load(std::memory_order_relaxed);
+  if (d == nullptr || bytes == 0) return;
+  rt::Worker* w = rt::current_worker();
+  if (w == nullptr || w->current_frame() == nullptr) return;  // outside a run
+  const detect::addr_t lo = detect::addr_of(p);
+  d->on_access(*w, *w->current_frame(), lo, lo + bytes - 1, write);
 }
 
 // The cursor miss path: uninstalled dispatch and the ablation mode first
@@ -146,64 +102,6 @@ PINT_NOINLINE void cursor_record_miss(AccessCursor& c, detect::addr_t lo,
   c.hi[write] = hi;
 }
 
-}  // namespace
-
-namespace detail {
-
-std::atomic<bool> g_instrumentation_on{false};
-
-PINT_NOINLINE void record_access_slow(const void* p, std::size_t bytes,
-                                      bool write) {
-  detect::Detector* d = g_active.load(std::memory_order_relaxed);
-  if (d == nullptr || bytes == 0) return;
-  rt::Worker* w = rt::current_worker();
-  if (w == nullptr || w->current_frame() == nullptr) return;  // outside a run
-  const detect::addr_t lo = detect::addr_of(p);
-  d->on_access(*w, *w->current_frame(), lo, lo + bytes - 1, write);
-}
-
-// The per-lane hit path, branch-minimal by design: one raw-counter
-// increment plus the same extension predicate as AccessBuffer::add's tail
-// probe; installed/ablation state is encoded in the open-interval sentinels
-// (see AccessCursor above), so the raw counters tick even with no cursor
-// installed - install resets them, so only in-strand counts are ever read.
-// kLane is a compile-time constant so every cursor field is a fixed TLS
-// displacement (no lane indexing in the emitted code).  Callers guarantee
-// bytes > 0 (the inline wrappers hoist that check).
-template <int kLane>
-inline void record_lane(const void* p, std::size_t bytes) {
-  AccessCursor& c = t_cursor;
-  const detect::addr_t lo = detect::addr_of(p);
-  const detect::addr_t hi = lo + bytes - 1;
-  ++c.raw[kLane];
-  if (PINT_LIKELY(lo >= c.lo[kLane] && lo <= c.hi[kLane] + 1)) {
-    if (hi > c.hi[kLane]) c.hi[kLane] = hi;
-    return;
-  }
-  // Pending-ring probe, still inline: a miss absorbed by a pending stream is
-  // the steady state for multi-stream kernels (A[i][k]/A[j][k] ping-pong),
-  // and npend > 0 implies installed && coalesce, so no sentinel state can
-  // reach the extension predicate below.
-  const unsigned np = c.npend[kLane];
-  for (unsigned i = 0; i < np; ++i) {
-    detect::Interval& b = c.pend[kLane][i];
-    if (lo >= b.lo && lo <= b.hi + 1) {
-      if (hi > b.hi) b.hi = hi;
-      return;
-    }
-  }
-  cursor_record_miss(c, lo, hi, kLane != 0);
-}
-
-// noinline: re-derive the thread-local cursor on every call, for the same
-// fiber-migration reason as rt::current_worker().
-PINT_NOINLINE void record_access_read(const void* p, std::size_t bytes) {
-  record_lane<0>(p, bytes);
-}
-PINT_NOINLINE void record_access_write(const void* p, std::size_t bytes) {
-  record_lane<1>(p, bytes);
-}
-
 }  // namespace detail
 
 namespace detect {
@@ -217,7 +115,7 @@ Detector* active_detector() { return g_active.load(std::memory_order_relaxed); }
 PINT_NOINLINE void cursor_install(AccessBuffer* reads, AccessBuffer* writes,
                                   bool coalesce) {
   if (!g_fast_path.load(std::memory_order_relaxed)) return;
-  AccessCursor& c = t_cursor;
+  AccessCursor& c = *detail::cursor();
   if (PINT_UNLIKELY(c.installed)) {
     // Misuse guard: detectors invalidate before installing, so a live
     // cursor here means a caller skipped that - flush rather than lose the
@@ -245,7 +143,7 @@ PINT_NOINLINE void cursor_install(AccessBuffer* reads, AccessBuffer* writes,
 }
 
 PINT_NOINLINE CursorFlush cursor_invalidate() {
-  AccessCursor& c = t_cursor;
+  AccessCursor& c = *detail::cursor();
   CursorFlush out;
   if (!c.installed) return out;
   out.raw_reads = c.raw[0];
@@ -265,9 +163,9 @@ PINT_NOINLINE CursorFlush cursor_invalidate() {
   return out;
 }
 
-PINT_NOINLINE void cursor_reset() { t_cursor = AccessCursor{}; }
+PINT_NOINLINE void cursor_reset() { *detail::cursor() = AccessCursor{}; }
 
-PINT_NOINLINE bool cursor_installed() { return t_cursor.installed; }
+PINT_NOINLINE bool cursor_installed() { return detail::cursor()->installed; }
 
 void set_access_fast_path(bool on) {
   g_fast_path.store(on, std::memory_order_seq_cst);

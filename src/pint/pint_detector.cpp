@@ -647,7 +647,6 @@ void PintDetector::collect(Strand* s) {
       // the run reports kOutOfMemory.
       if (!queue_.try_grow_unsynchronized(opt_.max_queue_capacity)) {
         note_oom("history ring at max_queue_capacity");
-        dropped_strands_.fetch_add(1, std::memory_order_relaxed);
         stats_.dropped_strands.fetch_add(1, std::memory_order_relaxed);
         published = false;
         break;
@@ -664,7 +663,6 @@ void PintDetector::collect(Strand* s) {
     stats_.backoff_pauses.fetch_add(1, std::memory_order_relaxed);
     PINT_TCOUNT("backoff_pauses");
     if (PINT_UNLIKELY(cancel_.load(std::memory_order_relaxed))) {
-      dropped_strands_.fetch_add(1, std::memory_order_relaxed);
       stats_.dropped_strands.fetch_add(1, std::memory_order_relaxed);
       published = false;
       break;
@@ -1031,7 +1029,8 @@ void PintDetector::dump_progress(const char* stalled) {
       "dropped_strands=%llu beats=%llu\n",
       (unsigned long long)stats_.stalled_pushes.load(std::memory_order_relaxed),
       (unsigned long long)stats_.backoff_pauses.load(std::memory_order_relaxed),
-      (unsigned long long)dropped_strands_.load(std::memory_order_relaxed),
+      (unsigned long long)stats_.dropped_strands.load(
+          std::memory_order_relaxed),
       (unsigned long long)hb_backoff_.beats());
   for (const auto& lane : lanes_) {
     std::fprintf(
@@ -1119,8 +1118,8 @@ RunResult PintDetector::run(std::function<void()> fn) {
     sink.gauge("pool.chunks", std::uint64_t(std::max<std::int64_t>(
                                   0, chunks_outstanding_.load(
                                          std::memory_order_relaxed))));
-    sink.gauge("dropped.strands",
-               dropped_strands_.load(std::memory_order_relaxed));
+    sink.gauge("dropped_strands",
+               stats_.dropped_strands.load(std::memory_order_relaxed));
   });
 
   Watchdog::Options wo;
@@ -1192,7 +1191,8 @@ RunResult PintDetector::run(std::function<void()> fn) {
   sched_ = nullptr;
 
   result.watchdog_tripped = wd.tripped();
-  result.dropped_strands = dropped_strands_.load(std::memory_order_relaxed);
+  result.dropped_strands =
+      stats_.dropped_strands.load(std::memory_order_relaxed);
   if (result.watchdog_tripped) {
     result.status = RunStatus::kStalled;
   } else if (oom_.load(std::memory_order_acquire)) {

@@ -233,7 +233,6 @@ class PintDetector final : public detect::Detector,
   std::atomic<bool> cancel_{false};
   /// An allocation failure was survived; run() reports kOutOfMemory.
   std::atomic<bool> oom_{false};
-  std::atomic<std::uint64_t> dropped_strands_{0};
   /// Start gate for history threads: 0 = hold, 1 = go, 2 = abort (spawn
   /// rollback).  Threads touch no shared pipeline structure (queue producer
   /// pin, consumer registration) until released, so a partial spawn can be

@@ -24,7 +24,9 @@
 // THREADING RULE: user code may migrate between OS threads at any spawn or
 // sync.  Never cache the current Worker (or anything reached through
 // thread_local) across those calls; always re-fetch via current_worker(),
-// which is deliberately noinline in scheduler.cpp.
+// which is deliberately noinline in scheduler.cpp.  The one inline TLS read
+// is the access hook's detail::cursor() (detect/instrument.hpp): it reads
+// the thread pointer in an `asm volatile`, which cannot be cached.
 
 #include <atomic>
 #include <cstdint>

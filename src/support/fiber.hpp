@@ -14,8 +14,11 @@
 //
 // IMPORTANT: code that may be suspended and resumed on a *different* OS
 // thread must never cache thread_local addresses across a suspension point.
-// All TLS access in this project is confined to noinline functions in .cpp
-// files (see runtime/scheduler.cpp) for exactly this reason.
+// TLS is therefore reached only from noinline functions in .cpp files (see
+// runtime/scheduler.cpp), with one sanctioned inline form: the access
+// hook's detail::cursor() (detect/instrument.hpp), which re-reads the thread
+// pointer inside an `asm volatile` at every call - an asm the compiler can
+// neither merge with another nor hoist across a call.
 
 #include <cstddef>
 #include <cstdint>

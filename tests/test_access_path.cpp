@@ -19,8 +19,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <set>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -37,18 +41,28 @@ struct FastPathGuard {
   ~FastPathGuard() { detect::set_access_fast_path(saved); }
 };
 
+// RAII: the cursor unit tests run with no detector installed, so they open
+// the hooks' global gate themselves; with it closed record_read/record_write
+// return before reaching the cursor.
+struct HooksOn {
+  bool saved = detail::g_instrumentation_on.load();
+  HooksOn() { detail::g_instrumentation_on.store(true); }
+  ~HooksOn() { detail::g_instrumentation_on.store(saved); }
+};
+
 // ---------------------------------------------------------------------------
-// Cursor unit tests (drive the detail:: entry points directly - no detector)
+// Cursor unit tests (drive record_read/record_write - no detector)
 // ---------------------------------------------------------------------------
 
 TEST(AccessCursor, SequentialAccessesCoalesceToOneInterval) {
   FastPathGuard g;
+  HooksOn on;
   detect::set_access_fast_path(true);
   detect::AccessBuffer reads, writes;
   detect::cursor_install(&reads, &writes, /*coalesce=*/true);
   ASSERT_TRUE(detect::cursor_installed());
   alignas(8) unsigned char buf[256] = {};
-  for (int i = 0; i < 32; ++i) detail::record_access_read(buf + i * 8, 8);
+  for (int i = 0; i < 32; ++i) record_read(buf + i * 8, 8);
   const detect::CursorFlush fl = detect::cursor_invalidate();
   EXPECT_FALSE(detect::cursor_installed());
   EXPECT_EQ(fl.raw_reads, 32u);
@@ -66,6 +80,7 @@ TEST(AccessCursor, SequentialAccessesCoalesceToOneInterval) {
 
 TEST(AccessCursor, InterleavedStreamsStayInThePendingRing) {
   FastPathGuard g;
+  HooksOn on;
   detect::set_access_fast_path(true);
   detect::AccessBuffer reads, writes;
   detect::cursor_install(&reads, &writes, true);
@@ -78,7 +93,7 @@ TEST(AccessCursor, InterleavedStreamsStayInThePendingRing) {
   std::vector<unsigned char> arena(kStreams * kStride);
   for (int i = 0; i < 64; ++i) {
     for (std::size_t s = 0; s < kStreams; ++s) {
-      detail::record_access_write(arena.data() + s * kStride + i * 8, 8);
+      record_write(arena.data() + s * kStride + i * 8, 8);
     }
   }
   const detect::CursorFlush fl = detect::cursor_invalidate();
@@ -93,6 +108,7 @@ TEST(AccessCursor, InterleavedStreamsStayInThePendingRing) {
 
 TEST(AccessCursor, OverflowSpillsToTheBufferWithoutLosingBytes) {
   FastPathGuard g;
+  HooksOn on;
   detect::set_access_fast_path(true);
   detect::AccessBuffer reads, writes;
   detect::cursor_install(&reads, &writes, true);
@@ -104,7 +120,7 @@ TEST(AccessCursor, OverflowSpillsToTheBufferWithoutLosingBytes) {
   std::vector<unsigned char> arena(kStreams * kStride);
   for (int i = 0; i < 8; ++i) {
     for (std::size_t s = 0; s < kStreams; ++s) {
-      detail::record_access_read(arena.data() + s * kStride + i * 8, 8);
+      record_read(arena.data() + s * kStride + i * 8, 8);
     }
   }
   detect::cursor_invalidate();
@@ -117,11 +133,12 @@ TEST(AccessCursor, OverflowSpillsToTheBufferWithoutLosingBytes) {
 
 TEST(AccessCursor, CoalesceOffRecordsEveryAccessRaw) {
   FastPathGuard g;
+  HooksOn on;
   detect::set_access_fast_path(true);
   detect::AccessBuffer reads, writes;
   detect::cursor_install(&reads, &writes, /*coalesce=*/false);
   unsigned char buf[128] = {};
-  for (int i = 0; i < 16; ++i) detail::record_access_write(buf + i * 8, 8);
+  for (int i = 0; i < 16; ++i) record_write(buf + i * 8, 8);
   const detect::CursorFlush fl = detect::cursor_invalidate();
   EXPECT_EQ(fl.raw_writes, 16u);
   EXPECT_EQ(fl.hits, 0u);
@@ -141,13 +158,14 @@ TEST(AccessCursor, KnobOffMeansNoCursorEverInstalls) {
 
 TEST(AccessCursor, DoubleInstallFlushesThePreviousStrand) {
   FastPathGuard g;
+  HooksOn on;
   detect::set_access_fast_path(true);
   detect::AccessBuffer r1, w1, r2, w2;
   unsigned char buf[64] = {};
   detect::cursor_install(&r1, &w1, true);
-  detail::record_access_read(buf, 8);
+  record_read(buf, 8);
   detect::cursor_install(&r2, &w2, true);  // misuse guard path
-  detail::record_access_read(buf + 8, 8);
+  record_read(buf + 8, 8);
   detect::cursor_invalidate();
   r1.finalize(true);
   r2.finalize(true);
@@ -367,6 +385,143 @@ TEST(RandomProgramAccessPath, AllFourConfigurationsAgree) {
       const RunOut sh = run_config(Sys::kPintShard, true, true, body);
       EXPECT_EQ(sh.distinct > 0, ref.distinct > 0) << "seed=" << seed;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Migration under the inline hook
+// ---------------------------------------------------------------------------
+//
+// The hook's hit path is inlined into the calling code, and that code moves
+// to another OS thread whenever its continuation is stolen.  This tree
+// records through record_read/record_write on both sides of every spawn and
+// sync with 4 core workers, so stolen continuations go on recording on the
+// thief.  A cursor address cached across a steal would tick the victim
+// thread's cursor: the raw counts below would be off, and in the TSan lane
+// (this TU is instrumented, unlike the kernel TUs) the two threads' cursor
+// traffic is reported as a race.
+
+constexpr int kTreeDepth = 6;  // 63 internal nodes, 64 leaves
+constexpr std::uint64_t kInternalNodes = (1u << kTreeDepth) - 1;
+constexpr std::uint64_t kLeafNodes = 1u << kTreeDepth;
+constexpr int kSegment = 8;    // reads and writes per internal-node segment
+constexpr int kLeafWork = 64;  // reads and writes per leaf (steal bait)
+// Pool layout in 8-byte slots: [0, 3) are written by parallel leaves (the
+// only races), slot 3 by a single leaf, slot 4 is read by every node, then
+// kPrivateSlots per node id.
+constexpr std::size_t kRacySlots = 3;
+constexpr std::size_t kLoneSlot = 3;
+constexpr std::size_t kSharedReadSlot = 4;
+constexpr std::size_t kPrivateBase = 5;
+constexpr std::size_t kPrivateSlots = 8;
+constexpr std::size_t kPoolSlots =
+    kPrivateBase + 2 * kLeafNodes * kPrivateSlots;
+
+void touch_private(std::uint64_t* priv, int n) {
+  for (int i = 0; i < n; ++i) {
+    record_read(priv + i % kPrivateSlots, 8);
+    record_write(priv + i % kPrivateSlots, 8);
+  }
+}
+
+struct Tree {
+  std::uint64_t* pool;
+  bool await_steal;  // false on the one-worker oracle, which never steals
+  std::atomic<int> moved{0};  // continuations resumed on another worker
+};
+
+// Node `id` in heap order (root 1, children 2id and 2id+1).  The leftmost
+// leaf is reached first (work-first descent) with every ancestor's
+// continuation waiting in its worker's deque; it holds on, recording
+// nothing, until a thief has resumed one of them, so each run migrates.
+void migrate_node(Tree* t, std::uint64_t id, int depth) {
+  std::uint64_t* pool = t->pool;
+  std::uint64_t* priv = pool + kPrivateBase + id * kPrivateSlots;
+  record_read(pool + kSharedReadSlot, 8);
+  if (depth == kTreeDepth) {
+    if (id == kLeafNodes && t->await_steal) {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (t->moved.load() == 0 &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+    }
+    touch_private(priv, kLeafWork);
+    const std::uint64_t leaf = id - kLeafNodes;
+    if (leaf % 8 == 0) record_write(pool + (leaf / 8) % kRacySlots, 8);
+    if (leaf == 5) record_write(pool + kLoneSlot, 8);
+    return;
+  }
+  touch_private(priv, kSegment);  // before the first spawn
+  rt::SpawnScope sc;
+  const rt::Worker* spawner = rt::current_worker();
+  sc.spawn([=] { migrate_node(t, 2 * id, depth + 1); });
+  if (rt::current_worker() != spawner) t->moved.fetch_add(1);
+  touch_private(priv, kSegment);  // continuation: may run on a thief
+  sc.spawn([=] { migrate_node(t, 2 * id + 1, depth + 1); });
+  touch_private(priv, kSegment);
+  sc.sync();
+  touch_private(priv, kSegment);  // after the sync: possibly another thread
+}
+
+// The 8-byte pool slots that the run's race records cover.
+std::set<std::size_t> racy_slots(const RunOut& r, const std::uint64_t* pool) {
+  const detect::addr_t base = detect::addr_of(pool);
+  std::set<std::size_t> slots;
+  for (const auto& [ps, cs, pw, cw, lo, hi] : r.full) {
+    if (lo < base || hi >= base + kPoolSlots * 8) {
+      ADD_FAILURE() << "race record outside the pool";
+      continue;
+    }
+    for (std::size_t s = (lo - base) / 8; s <= (hi - base) / 8; ++s) {
+      slots.insert(s);
+    }
+  }
+  return slots;
+}
+
+RunOut run_migrating_tree(bool fast, std::uint64_t* pool, int& moved) {
+  FastPathGuard g;
+  detect::set_access_fast_path(fast);
+  pintd::PintDetector::Options o;
+  o.core_workers = 4;
+  pintd::PintDetector det(o);
+  Tree t{pool, true};
+  det.run([&t] { migrate_node(&t, 1, 0); });
+  moved = t.moved.load();
+  return summarize(det.reporter(), det.stats());
+}
+
+TEST(AccessCursorMigration, StolenContinuationsRecordOnTheThiefsCursor) {
+  std::vector<std::uint64_t> pool(kPoolSlots, 0);
+  std::uint64_t* p = pool.data();
+  oracle::OracleDetector oracle;
+  Tree serial{p, false};
+  oracle.run([&serial] { migrate_node(&serial, 1, 0); });
+  const std::set<std::size_t> truth =
+      racy_slots(summarize(oracle.reporter(), oracle.stats()), p);
+  ASSERT_EQ(truth, (std::set<std::size_t>{0, 1, 2}));
+
+  const std::uint64_t reads = kInternalNodes * (1 + 4 * kSegment) +
+                              kLeafNodes * (1 + kLeafWork);
+  const std::uint64_t writes =
+      kInternalNodes * 4 * kSegment + kLeafNodes * kLeafWork + 8 + 1;
+  for (int rep = 0; rep < 20; ++rep) {
+    int moved = 0;
+    const RunOut fast = run_migrating_tree(true, p, moved);
+    // Without a migrated continuation the run proved nothing.
+    EXPECT_GT(moved, 0) << "rep=" << rep;
+    const RunOut slow = run_migrating_tree(false, p, moved);
+    EXPECT_EQ(fast.stats.raw_reads, reads) << "rep=" << rep;
+    EXPECT_EQ(fast.stats.raw_writes, writes) << "rep=" << rep;
+    EXPECT_EQ(fast.stats.fastpath_accesses, reads + writes) << "rep=" << rep;
+    EXPECT_EQ(fast.stats.slowpath_accesses, 0u) << "rep=" << rep;
+    EXPECT_EQ(slow.stats.raw_reads, reads) << "rep=" << rep;
+    EXPECT_EQ(slow.stats.raw_writes, writes) << "rep=" << rep;
+    EXPECT_EQ(racy_slots(fast, p), truth) << "rep=" << rep;
+    EXPECT_EQ(racy_slots(slow, p), truth) << "rep=" << rep;
+    EXPECT_EQ(fast.distinct, slow.distinct) << "rep=" << rep;
   }
 }
 

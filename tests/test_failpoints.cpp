@@ -381,24 +381,33 @@ TEST_F(FailPointTest, TransientBackoffDoesNotTripWatchdogLater) {
 }
 
 TEST_F(FailPointTest, SequentialRingCapShedsAndReportsOom) {
-  CaptureErrors cap;
-  // No fail point needed: the cap itself is the fault.  Sequential mode
-  // buffers every strand, so a 16-slot ceiling against ~dozens of strands
-  // must shed, keep running, and report kOutOfMemory.
-  PintDetector::Options o;
-  o.parallel_history = false;
-  o.queue_capacity = 8;
-  o.max_queue_capacity = 16;
-  std::vector<unsigned char> pool(64, 0);
-  bool any = false;
-  detect::Stats::Snapshot st{};
-  const RunResult r =
-      run_pint(o, [&] { racy_tree(5, pool.data()); }, &any, &st);
-  EXPECT_EQ(r.status, RunStatus::kOutOfMemory);
-  EXPECT_GT(r.dropped_strands, 0u);
-  EXPECT_EQ(st.dropped_strands, r.dropped_strands);
-  EXPECT_GE(st.oom_events, 1u);
-  EXPECT_NE(cap.text().find("max_queue_capacity"), std::string::npos);
+  // The cap itself is the fault: sequential mode buffers every strand, so a
+  // 16-slot ceiling against ~dozens of strands must shed, keep running, and
+  // report kOutOfMemory.  With "ahqueue.push.full" armed as well, every
+  // push is forced full and each strand past the cap is shed.  Either way
+  // RunResult (like the sampler gauge and dump_progress) reads the one
+  // Stats::dropped_strands counter.
+  for (const char* spec : {"", "ahqueue.push.full=always"}) {
+    if (*spec != '\0' && !fail::kCompiledIn) continue;
+    CaptureErrors cap;
+    fail::reset();
+    ASSERT_TRUE(fail::configure(spec));
+    PintDetector::Options o;
+    o.parallel_history = false;
+    o.queue_capacity = 8;
+    o.max_queue_capacity = 16;
+    std::vector<unsigned char> pool(64, 0);
+    bool any = false;
+    detect::Stats::Snapshot st{};
+    const RunResult r =
+        run_pint(o, [&] { racy_tree(5, pool.data()); }, &any, &st);
+    EXPECT_EQ(r.status, RunStatus::kOutOfMemory) << spec;
+    EXPECT_GT(r.dropped_strands, 0u) << spec;
+    EXPECT_EQ(st.dropped_strands, r.dropped_strands) << spec;
+    EXPECT_GE(st.oom_events, 1u) << spec;
+    EXPECT_NE(cap.text().find("max_queue_capacity"), std::string::npos)
+        << spec;
+  }
 }
 
 TEST_F(FailPointTest, UncappedSequentialRingStillGrows) {

@@ -172,13 +172,6 @@ class JParser {
   std::size_t pos_ = 0;
 };
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 std::string tmp_path(const char* leaf) {
   return ::testing::TempDir() + leaf;
 }
@@ -209,6 +202,13 @@ void run_workload() {
 }
 
 #if PINT_TELEMETRY_ENABLED
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
 
 /// Runs the phased one-core PINT mode under telemetry and returns the
 /// detector's stats snapshot.  Phased mode is the calibration target: each
