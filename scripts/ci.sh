@@ -24,7 +24,7 @@
 #   scripts/ci.sh locks      # lockset matrix suite (ctest -L locks):
 #                            # guarded/unguarded twin kernels through every
 #                            # detector, in the plain AND the TSan builds
-#   scripts/ci.sh simd       # hot-path knob suite (ctest -L simd): arena /
+#   scripts/ci.sh simd       # hot-path knob suite (ctest -L simd):
 #                            # SIMD-finalize bit-identity, in the
 #                            # portable build AND a -DPINT_MARCH_NATIVE=ON
 #                            # build (native vs scalar-fallback codegen)

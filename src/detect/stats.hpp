@@ -25,14 +25,10 @@
 //    adds that extended one of the last few stored intervals,
 //    tail_probe_misses the appends.  Only spill and slow-route adds reach
 //    add(), so these expose the traffic the cursor could not absorb.
-//  * Allocation-free hot path (DESIGN.md §13): arena_reuses / arena_fresh
-//    are the run's delta of the process-wide recycler counters (objects
-//    and slabs from a freelist vs from the system allocator; concurrent
-//    detectors blur the attribution, as for deep_backoffs);
-//    empty_strand_skips counts strands collected with no recorded work,
-//    which skip queue publication; finalize_sorted_skips the seals whose
-//    items were already sorted, finalize_simd those that took the
-//    vectorized merge.
+//  * Seal (DESIGN.md §13): empty_strand_skips counts strands collected
+//    with no recorded work, which skip queue publication;
+//    finalize_sorted_skips the seals whose items were already sorted,
+//    finalize_simd those that took the vectorized merge.
 //  * Bulk apply and batching (DESIGN.md §10): bulk_runs counts *_run calls
 //    issued to a history store, bulk_run_intervals the intervals they
 //    carried; batch_drains / batch_strands the consumer lanes'
@@ -59,8 +55,7 @@
   X(fastpath_accesses) X(fastpath_hits) X(cursor_spills)                    \
   X(slowpath_accesses)                                                      \
   X(tail_probe_hits) X(tail_probe_misses)                                   \
-  X(arena_reuses) X(arena_fresh) X(empty_strand_skips)                      \
-  X(finalize_sorted_skips) X(finalize_simd)                                 \
+  X(empty_strand_skips) X(finalize_sorted_skips) X(finalize_simd)           \
   X(bulk_runs) X(bulk_run_intervals) X(batch_drains) X(batch_strands)       \
   X(prefetch_issues) X(deep_backoffs)                                       \
   X(strands) X(traces) X(steals) X(reach_queries)                           \
@@ -76,10 +71,12 @@ struct Counts {
 #define PINT_COUNTS_FIELD(name) std::uint64_t name = 0;
   PINT_DETECT_COUNTERS(PINT_COUNTS_FIELD)
 #undef PINT_COUNTS_FIELD
-  // Always 0 and outside the list, so absent from the metrics JSON.  Their
-  // only reader is perfbench/pint_bench.cpp (its per-layer
-  // reach.memo_hit_rate); drop them together with that metric.
+  // Always 0 and outside the list, so absent from the metrics JSON and the
+  // trace.  Their only reader is perfbench/pint_bench.cpp (its per-layer
+  // reach.memo_hit_rate and arena.fresh_share); drop them together with
+  // those metrics.
   std::uint64_t memo_queries = 0, memo_hits = 0;
+  std::uint64_t arena_reuses = 0, arena_fresh = 0;
 
   /// Calls fn(name, value) for every listed counter, in list order.
   template <class Fn>

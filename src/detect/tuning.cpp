@@ -7,7 +7,6 @@
 
 #include "detect/history.hpp"
 #include "detect/types.hpp"
-#include "support/arena.hpp"
 
 namespace pint::detect {
 
@@ -39,7 +38,6 @@ Tuning Tuning::current() {
   Tuning t;
   t.bulk_apply = detect::bulk_apply();
   t.access_fast_path = detect::access_fast_path();
-  t.arena = support::arena_recycle();
   t.simd = detect::simd_merge();
   return t;
 }
@@ -62,7 +60,6 @@ Tuning Tuning::parse(const char* spec, Tuning base) {
     if (key == "bulk") ok = parse_bool(val, &base.bulk_apply);
     else if (key == "fastpath") ok = parse_bool(val, &base.access_fast_path);
     else if (key == "locks") ok = parse_bool(val, &base.lock_edges);
-    else if (key == "arena") ok = parse_bool(val, &base.arena);
     else if (key == "simd") ok = parse_bool(val, &base.simd);
     if (!ok) warn_once(item);
   }
@@ -79,7 +76,6 @@ Tuning Tuning::from_env() {
 void Tuning::apply_globals() const {
   set_bulk_apply(bulk_apply);
   set_access_fast_path(access_fast_path);
-  support::set_arena_recycle(arena);
   set_simd_merge(simd);
 }
 

@@ -2,7 +2,7 @@
 
 // One struct for every cross-cutting detector knob (DESIGN.md §12.5).
 //
-// The bulk-apply, access-fast-path, arena and SIMD toggles are process
+// The bulk-apply, access-fast-path and SIMD toggles are process
 // globals (they live next to the machinery they switch); the lock-edge
 // toggle is per-detector.  Tuning gathers all of them so
 // callers set knobs in ONE place - `options.tuning.bulk_apply = false` -
@@ -29,11 +29,6 @@ struct Tuning {
   /// conflicts whose segments share a mutex.  Per-detector: off ignores
   /// lock events entirely (records keep lsid 0, the pre-lock behavior).
   bool lock_edges = true;
-  /// Arena-batched allocation (DESIGN.md §13): strand/trace/chunk pools and
-  /// treap node chunks draw from process-wide recyclers and retire
-  /// wholesale.  Global knob; changes allocation provenance only, never
-  /// stored bytes - results are bit-identical either way.
-  bool arena = true;
   /// SIMD/branchless AccessBuffer::finalize (DESIGN.md §13): sortedness
   /// detector + radix bucketing + AVX2 merge mask, runtime-dispatched with
   /// a bit-identical scalar fallback.  Global knob.
@@ -43,14 +38,15 @@ struct Tuning {
   static Tuning current();
 
   /// current() overlaid with the PINT_TUNING environment variable, e.g.
-  ///   PINT_TUNING=bulk=off,fastpath=on,locks=off,arena=off,simd=off
-  /// Unknown keys/values warn once on stderr and are ignored.
+  ///   PINT_TUNING=bulk=off,fastpath=on,locks=off,simd=off
+  /// Unknown keys/values - the retired `cursor=`, `memo=` and `arena=`
+  /// among them - warn once on stderr and are ignored.
   static Tuning from_env();
 
   /// Overlay a spec string ("bulk=off,locks=on,...") onto `base`.
   static Tuning parse(const char* spec, Tuning base);
 
-  /// Push the global knobs (bulk_apply / access_fast_path / arena / simd)
+  /// Push the global knobs (bulk_apply / access_fast_path / simd)
   /// into their process globals.  Call only at quiescence.
   void apply_globals() const;
 

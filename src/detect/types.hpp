@@ -77,7 +77,7 @@ class AccessBuffer {
   static constexpr std::size_t kTails = 4;
   /// Shrink-to-slab bound: clear() releases backing store grown past this
   /// many intervals, so one outlier strand does not pin a huge buffer across
-  /// every recycle of its Strand record (arena lifecycle, DESIGN.md §13).
+  /// every reuse of its Strand record within a run (DESIGN.md §13.1).
   static constexpr std::size_t kSlabIntervals = 4096;
 
   /// Records without any merging - the "no runtime coalescing" ablation.

@@ -82,7 +82,6 @@ class PintDetector final : public detect::Detector,
   };
 
   explicit PintDetector(const Options& opt);
-  ~PintDetector() override;
 
   /// Executes fn() under race detection. One run per detector instance.
   /// Always returns (modulo unsurvivable dead-ends, which abort through the

@@ -29,11 +29,12 @@
 //     equal labels  ->  ordered by NEITHER (same-label lockset segments)
 //
 // Symbols are appended at the tail word of the label; when a word fills it
-// is frozen into an immutable, reverse-linked PathChunk drawn from the PR 8
-// slab arena.  Chunks below a fork are SHARED by every descendant label, so
-// (a) a label costs O(1) amortized space per spawn and (b) relation() can
-// stop its word-compare loop the moment both sides reach the same chunk
-// object - everything below the fork is identical by construction.
+// is frozen into an immutable, reverse-linked PathChunk carved from one of
+// the engine's own 64 KiB slabs.  Chunks below a fork are SHARED by every
+// descendant label, so (a) a label costs O(1) amortized space per spawn and
+// (b) relation() can stop its word-compare loop the moment both sides reach
+// the same chunk object - everything below the fork is identical by
+// construction.
 //
 // What this buys over an order-maintenance list, structurally:
 //   * on_spawn touches no shared mutable state (one spinlocked slab bump
@@ -49,9 +50,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "support/arena.hpp"
 #include "support/assert.hpp"
 #include "support/spinlock.hpp"
 
@@ -69,8 +70,8 @@ struct Relation {
 };
 
 /// One frozen 64-bit word of a label's path, reverse-linked toward the root.
-/// Immutable after publication; allocated from the engine's slab arena and
-/// shared by every label that extends the path below it.
+/// Immutable after publication; carved from the engine's slabs (freed with
+/// the engine) and shared by every label that extends the path below it.
 struct DePaPathChunk {
   const DePaPathChunk* prev;  // word `index - 1`, null when index == 0
   std::uint64_t word;         // path bits [64*index, 64*index + 64)
@@ -97,10 +98,6 @@ class DePaEngine {
   DePaEngine() = default;
   DePaEngine(const DePaEngine&) = delete;
   DePaEngine& operator=(const DePaEngine&) = delete;
-
-  ~DePaEngine() {
-    for (void* s : slabs_) support::SlabSource::instance().give(s, kSlabBytes);
-  }
 
   /// Label of the computation's initial strand: the empty path.
   DePaLabel root_label() {
@@ -188,12 +185,14 @@ class DePaEngine {
                                  std::uint32_t index) {
     LockGuard<Spinlock> g(mu_);
     if (slab_used_ == kChunksPerSlab) {
-      slabs_.push_back(support::SlabSource::instance().take(kSlabBytes));
+      slabs_.push_back(
+          std::make_unique_for_overwrite<DePaPathChunk[]>(kChunksPerSlab));
       slab_used_ = 0;
     }
-    auto* base = static_cast<DePaPathChunk*>(slabs_.back());
     ++chunks_minted_;
-    return new (base + slab_used_++) DePaPathChunk{prev, word, index};
+    DePaPathChunk* c = &slabs_.back()[slab_used_++];
+    *c = {prev, word, index};
+    return c;
   }
 
   /// Word `j` of a label's path, with backward iteration.  `chunk` non-null
@@ -225,7 +224,7 @@ class DePaEngine {
   static constexpr std::size_t kChunksPerSlab = kSlabBytes / sizeof(DePaPathChunk);
 
   mutable Spinlock mu_;
-  std::vector<void*> slabs_;
+  std::vector<std::unique_ptr<DePaPathChunk[]>> slabs_;
   std::size_t slab_used_ = kChunksPerSlab;  // force a slab on first freeze
   std::uint64_t chunks_minted_ = 0;
 };

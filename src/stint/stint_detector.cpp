@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "detect/instrument.hpp"
-#include "support/arena.hpp"
 #include "support/telemetry.hpp"
 
 namespace pint::stint {
@@ -16,27 +15,13 @@ StintDetector::StintDetector(const Options& opt)
   rep_.set_verbose(opt_.verbose_races);
 }
 
-StintDetector::~StintDetector() {
-  // Arena retirement (DESIGN.md §13): the whole owned set goes back to the
-  // process-wide recycler in one hand-off; with the knob off give_all
-  // destroys them, matching the old per-object delete.
-  std::vector<std::unique_ptr<Strand>> batch;
-  batch.reserve(owned_.size());
-  for (Strand* s : owned_) batch.emplace_back(s);
-  support::Recycler<Strand>::instance().give_all(&batch);
-}
-
 Strand* StintDetector::alloc_strand() {
   Strand* s = free_list_;
   if (s != nullptr) {
     free_list_ = s->pool_next;
-  } else if (auto rec = support::Recycler<Strand>::instance().take()) {
-    s = rec.release();
-    owned_.push_back(s);
   } else {
-    support::note_arena_fresh();
-    s = new Strand();
-    owned_.push_back(s);
+    owned_.push_back(std::make_unique<Strand>());
+    s = owned_.back().get();
   }
   s->reset(++next_sid_);
   ++tally_.strands;
@@ -260,17 +245,12 @@ detect::RunResult StintDetector::run(std::function<void()> fn) {
   rt::Scheduler sched(so);
 
   detect::set_active_detector(this);
-  const support::ArenaCounters arena0 = support::arena_counters();
   Timer total;
   sched.run([&] { fn(); });
   stats_.total_ns.store(total.elapsed_ns());
   detect::set_active_detector(nullptr);
 
   stats_.add(tally_);
-  // Arena counters are process-wide monotonic; attribute this run's delta.
-  const support::ArenaCounters arena1 = support::arena_counters();
-  stats_.arena_reuses.store(arena1.reuses - arena0.reuses);
-  stats_.arena_fresh.store(arena1.fresh - arena0.fresh);
   stats_.writer_ns.store(writer_watch_.total_ns());
   stats_.lreader_ns.store(reader_watch_.total_ns());
   stats_.core_ns.store(total.elapsed_ns() - writer_watch_.total_ns() -

@@ -41,7 +41,6 @@ class StintDetector final : public detect::Detector,
 
   StintDetector() : StintDetector(Options{}) {}
   explicit StintDetector(const Options& opt);
-  ~StintDetector() override;
 
   /// Executes fn() sequentially under race detection. Single-use.  The
   /// synchronous design cannot degrade: the result is always kOk.
@@ -95,7 +94,7 @@ class StintDetector final : public detect::Detector,
   detect::GranuleMap reader_map_;
 
   detect::Strand* free_list_ = nullptr;
-  std::vector<detect::Strand*> owned_;
+  std::vector<std::unique_ptr<detect::Strand>> owned_;
   std::uint64_t next_sid_ = 0;
   /// The execution thread's counter tally, folded into stats_ at run end.
   detect::Counts tally_;

@@ -29,12 +29,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <vector>
 
 #include "reach/depa.hpp"
-#include "support/arena.hpp"
 #include "support/assert.hpp"
 
 namespace pint::treap {
@@ -43,7 +43,7 @@ using addr_t = std::uint64_t;
 
 /// Persistent identity of an interval's accessor. Kept in the store after
 /// the transient strand record is recycled (a DePa label is a self-contained
-/// value whose frozen path chunks live in the engine's slab arena).
+/// value whose frozen path chunks live in the engine's slabs).
 struct Accessor {
   reach::DePaLabel label;
   std::uint64_t sid = 0;  // strand id, for reporting and self-access checks
@@ -53,21 +53,9 @@ struct Accessor {
 
 class IntervalTreap {
  public:
-  // The arena knob is snapshotted at construction (detectors build their
-  // stores in the constructor, before run() re-applies globals) so every
-  // chunk's release matches its allocation provenance.  Nothing is
-  // allocated until the first insert.
-  IntervalTreap() : use_arena_(support::arena_recycle()) {}
-  ~IntervalTreap() {
-    auto& slabs = support::SlabSource::instance();
-    for (Slot* c : chunks_) {
-      if (use_arena_) {
-        slabs.give(c, sizeof(Slot) * kChunk);
-      } else {
-        delete[] c;
-      }
-    }
-  }
+  // Nothing is allocated until the first insert; the node chunks are freed
+  // with the store.
+  IntervalTreap() = default;
   IntervalTreap(const IntervalTreap&) = delete;
   IntervalTreap& operator=(const IntervalTreap&) = delete;
 
@@ -697,10 +685,8 @@ class IntervalTreap {
 
   // --- node memory ---------------------------------------------------------
 
-  /// Node slots are carved from chunks recycled raw through the
-  /// process-wide SlabSource when the arena knob was on at construction
-  /// (DESIGN.md §13); the trivial destructors make the wholesale give-back
-  /// in ~IntervalTreap safe.
+  /// Node slots are carved from store-owned chunks of kChunk slots; the
+  /// trivial destructors let the chunks go wholesale with the store.
   template <class T>
   T* make() {
     static_assert(std::is_trivially_destructible_v<T> &&
@@ -711,16 +697,10 @@ class IntervalTreap {
       spare_.pop_back();
     } else {
       if (used_ == kChunk) {
-        const std::size_t bytes = sizeof(Slot) * kChunk;
-        if (use_arena_) {
-          chunks_.push_back(static_cast<Slot*>(
-              support::SlabSource::instance().take(bytes)));
-        } else {
-          chunks_.push_back(new Slot[kChunk]);
-        }
+        chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kChunk));
         used_ = 0;
       }
-      s = chunks_.back() + used_++;
+      s = &chunks_.back()[used_++];
     }
     T* n = ::new (s) T();
     n->leaf = std::is_same_v<T, Leaf>;
@@ -761,8 +741,7 @@ class IntervalTreap {
 
   NodeHead* root_ = nullptr;
   int height_ = 0;  // inner levels above the leaves
-  bool use_arena_ = false;
-  std::vector<Slot*> chunks_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::size_t used_ = kChunk;
   std::vector<NodeHead*> spare_;
   Cursor c_;  // mutation cursor

@@ -1,15 +1,15 @@
-// Hot-path knob equivalence suite (DESIGN.md §13): the arena recycler and
-// the SIMD finalize are pure mechanism - they must be invisible to
-// detection results.  Checked at two strengths:
+// Hot-path knob equivalence suite (DESIGN.md §13): the SIMD finalize is
+// pure mechanism - it must be invisible to detection results.  Checked at
+// two strengths:
 //
 //  * finalize-level: finalize_intervals with the SIMD knob on vs off over
 //    adversarial interval shapes (radix-path sizes, near-zero and
 //    near-kMaxAddr addresses exercising the sign-bias trick, nested /
 //    adjacent / duplicate intervals) - identical canonical output;
 //  * whole-detector: race RECORDS bit-identical on the deterministic
-//    detectors (STINT, phased one-core PINT) for every single-knob flip on
-//    the kernel suite and for the full 2^2 knob cross-product on random
-//    series-parallel programs; pipelined / sharded PINT agree on the
+//    detectors (STINT, phased one-core PINT) for the SIMD flip on the
+//    kernel suite and on random series-parallel programs (checked against
+//    the oracle too); pipelined / sharded PINT agree on the
 //    verdict (same caveat as test_access_path.cpp).
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "detect/tuning.hpp"
 #include "detect/types.hpp"
 #include "kernels/kernels.hpp"
-#include "support/arena.hpp"
 #include "treap/interval_treap.hpp"
 
 using namespace pint;
@@ -200,16 +199,11 @@ RunOut summarize(const detect::RaceReporter& rep, const detect::Stats& stats) {
   return out;
 }
 
-struct Knobs {
-  bool arena, simd;
-};
-
-RunOut run_config(Sys sys, Knobs k, const std::function<void()>& body,
+RunOut run_config(Sys sys, bool simd, const std::function<void()>& body,
                   std::uint64_t seed = 7) {
   TuningGuard g;
   detect::Tuning t = g.saved;
-  t.arena = k.arena;
-  t.simd = k.simd;
+  t.simd = simd;
   if (sys == Sys::kStint) {
     stint::StintDetector::Options o;
     o.seed = seed;
@@ -229,8 +223,6 @@ RunOut run_config(Sys sys, Knobs k, const std::function<void()>& body,
   return summarize(det.reporter(), det.stats());
 }
 
-const Knobs kDefaults = {true, true};
-
 class KernelHotpathKnobs : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(KernelHotpathKnobs, SingleKnobFlipsAreBitIdentical) {
@@ -244,25 +236,13 @@ TEST_P(KernelHotpathKnobs, SingleKnobFlipsAreBitIdentical) {
       return k;
     };
     auto kr = fresh();
-    const RunOut ref = run_config(sys, kDefaults, [&] { kr->run(); });
-    const Knobs flips[] = {
-        {false, true},  // arena off
-        {true, false},  // simd off
-    };
-    for (const Knobs& k : flips) {
-      auto kf = fresh();
-      const RunOut out = run_config(sys, k, [&] { kf->run(); });
-      EXPECT_EQ(ref.rebased, out.rebased)
-          << "records diverge, sys=" << int(sys) << " arena=" << k.arena
-          << " simd=" << k.simd;
-      EXPECT_EQ(ref.distinct, out.distinct);
-      if (!k.simd) {
-        EXPECT_EQ(out.stats.finalize_simd, 0u) << "simd off still vectorized";
-      }
-      if (!k.arena) {
-        EXPECT_EQ(out.stats.arena_reuses, 0u) << "arena off still recycled";
-      }
-    }
+    const RunOut ref = run_config(sys, true, [&] { kr->run(); });
+    auto kf = fresh();
+    const RunOut out = run_config(sys, false, [&] { kf->run(); });
+    EXPECT_EQ(ref.rebased, out.rebased)
+        << "records diverge with simd off, sys=" << int(sys);
+    EXPECT_EQ(ref.distinct, out.distinct);
+    EXPECT_EQ(out.stats.finalize_simd, 0u) << "simd off still vectorized";
   }
 }
 
@@ -277,9 +257,9 @@ TEST_P(KernelHotpathKnobs, PipelinedAndShardedAgreeOnTheVerdict) {
       return k;
     };
     auto kr = fresh();
-    const RunOut ref = run_config(sys, kDefaults, [&] { kr->run(); });
+    const RunOut ref = run_config(sys, true, [&] { kr->run(); });
     auto kf = fresh();
-    const RunOut out = run_config(sys, {false, false}, [&] { kf->run(); });
+    const RunOut out = run_config(sys, false, [&] { kf->run(); });
     EXPECT_EQ(ref.distinct, out.distinct) << "sys=" << int(sys);
     if (ref.dropped == 0 && out.dropped == 0) {
       EXPECT_EQ(ref.pairs, out.pairs) << "sys=" << int(sys);
@@ -291,9 +271,8 @@ INSTANTIATE_TEST_SUITE_P(All, KernelHotpathKnobs,
                          ::testing::ValuesIn(kernels::kernel_names()),
                          [](const auto& info) { return info.param; });
 
-// The full 2^2 cross-product on random series-parallel programs: cheap
-// enough to run every combination bit-exactly (same pool address every run,
-// so the rebase is the identity).
+// Both SIMD settings on random series-parallel programs, bit-exactly (same
+// pool address every run, so the rebase is the identity).
 TEST(RandomProgramHotpathKnobs, AllKnobCombosAgreeAndMatchTheOracle) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     test::ProgramConfig pc;
@@ -303,14 +282,10 @@ TEST(RandomProgramHotpathKnobs, AllKnobCombosAgreeAndMatchTheOracle) {
     const test::PNode* p = prog.get();
     const auto body = [p, base] { test::exec_node(*p, base); };
 
-    const RunOut ref = run_config(Sys::kStint, kDefaults, body);
-    for (int mask = 0; mask < 4; ++mask) {
-      const Knobs k = {(mask & 1) != 0, (mask & 2) != 0};
-      const RunOut out = run_config(Sys::kStint, k, body);
-      EXPECT_EQ(ref.rebased, out.rebased)
-          << "seed=" << seed << " arena=" << k.arena << " simd=" << k.simd;
-      EXPECT_EQ(ref.distinct, out.distinct) << "seed=" << seed;
-    }
+    const RunOut ref = run_config(Sys::kStint, true, body);
+    const RunOut out = run_config(Sys::kStint, false, body);
+    EXPECT_EQ(ref.rebased, out.rebased) << "seed=" << seed;
+    EXPECT_EQ(ref.distinct, out.distinct) << "seed=" << seed;
     EXPECT_EQ(ref.distinct > 0,
               test::oracle_any_race(*p, test::program_pool_bytes(pc)))
         << "seed=" << seed;
@@ -326,37 +301,25 @@ TEST(RandomProgramHotpathKnobs, PhasedPintFullCrossProduct) {
     const test::PNode* p = prog.get();
     const auto body = [p, base] { test::exec_node(*p, base); };
 
-    const RunOut ref = run_config(Sys::kPintSeq, kDefaults, body);
-    for (int mask = 0; mask < 4; ++mask) {
-      const Knobs k = {(mask & 1) != 0, (mask & 2) != 0};
-      const RunOut out = run_config(Sys::kPintSeq, k, body);
-      EXPECT_EQ(ref.rebased, out.rebased)
-          << "seed=" << seed << " arena=" << k.arena << " simd=" << k.simd;
-    }
+    const RunOut ref = run_config(Sys::kPintSeq, true, body);
+    const RunOut out = run_config(Sys::kPintSeq, false, body);
+    EXPECT_EQ(ref.rebased, out.rebased) << "seed=" << seed;
   }
-}
-
-TEST(ArenaKnob, RecyclerActuallyReusesAcrossDetectorInstances) {
-  // Two arena-on runs back to back: the second draws its strand records
-  // from the recycler the first retired into.  (Process-wide counters; the
-  // per-run stats field is the delta, see pint_detector.cpp.)
-  kernels::KernelConfig cfg;
-  cfg.scale = 0.05;
-  auto body = [&](const char* name) {
-    auto k = kernels::make_kernel(name, cfg);
-    k->prepare();
-    return run_config(Sys::kStint, kDefaults, [&] { k->run(); });
-  };
-  (void)body("sort");  // warm the recycler
-  const RunOut second = body("sort");
-  EXPECT_GT(second.stats.arena_reuses, 0u)
-      << "second arena-on run allocated everything fresh";
 }
 
 TEST(TuningKnobs, DefaultsMatchTheDocumentedContract) {
   const detect::Tuning t;
-  EXPECT_TRUE(t.arena);   // recycling on: provenance only, never bytes
-  EXPECT_TRUE(t.simd);    // on: bit-identical scalar fallback exists
+  EXPECT_TRUE(t.simd);  // on: bit-identical scalar fallback exists
+}
+
+TEST(TuningKnobs, RetiredArenaKeyIsIgnored) {
+  // `arena=` names a knob that no longer exists: it warns and changes
+  // nothing, while the key beside it still applies.
+  detect::Tuning base;
+  base.bulk_apply = false;  // a non-default field must survive the overlay
+  detect::Tuning want = base;
+  want.simd = false;
+  EXPECT_EQ(detect::Tuning::parse("arena=off,simd=off", base), want);
 }
 
 }  // namespace

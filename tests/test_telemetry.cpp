@@ -400,11 +400,13 @@ TEST(Telemetry, CountersShareTheStatsNames) {
     ASSERT_NE(n, nullptr) << name;
     EXPECT_EQ(std::uint64_t(n->num), v) << name;
   });
-  // Every Counts field is listed except the two always-zero memo fields,
-  // and the section holds the counters plus three run-status entries.
-  EXPECT_EQ(listed, sizeof(detect::Counts) / sizeof(std::uint64_t) - 2);
+  // Every Counts field is listed except the four always-zero residue fields
+  // (memo and arena), and the section holds the counters plus three
+  // run-status entries.
+  EXPECT_EQ(listed, sizeof(detect::Counts) / sizeof(std::uint64_t) - 4);
   EXPECT_EQ(stats->obj.size(), listed + 3);
   EXPECT_NE(stats->get("cursor_spills"), nullptr);
+  EXPECT_EQ(stats->get("arena_fresh"), nullptr);
 }
 
 TEST(Telemetry, DisabledRunRecordsNothing) {
